@@ -1,7 +1,6 @@
 """Thermal load signature identification for subway station HVAC data."""
 
 from .core import (
-    Frame,
     HvacMode,
     LoadSignature,
     SensorRecord,
@@ -44,7 +43,6 @@ from .synth import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Frame",
     "HvacMode",
     "LoadSignature",
     "SensorRecord",

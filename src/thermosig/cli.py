@@ -161,7 +161,7 @@ def _fit_payload(result: FitResult) -> dict:
     return {
         "theta": asdict(result.theta),
         "relative_error": result.relative_error,
-        "grid": result.grid.to_dict(),
+        "grid": asdict(result.grid),
         "mode_frames_used": result.mode_frames_used,
         "used_integration": result.used_integration,
         "hit_bound": result.hit_bound,
@@ -222,32 +222,24 @@ def cmd_fit(config: RunConfig, dataset: str, out_dir: str, use_integrated: bool)
     return result
 
 
-def _signature_rows(series: FrameSeries, theta: Theta, constants: StationConstants):
-    rows = []
-    for ts, frame in zip(series.timestamps(), series):
-        if frame.delta is None:
-            continue
-        l_total, l_pil, l_eil = load(frame, theta, constants)
-        breakdown = supply(frame, theta, constants)
-        residual = l_total - breakdown.total - balance_target(frame, constants)
-        rows.append((ts, frame.mode, l_total, l_pil, l_eil, breakdown.total, residual))
-    return rows
-
-
 def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str) -> None:
     """Decompose the dataset's load under theta; write signature.csv and
-    summary.json."""
+    summary.json, one row per frame that has a delta."""
     theta = _read_theta(theta_path)
     series = _load_frames(config, dataset)
-    rows = _signature_rows(series, theta, config.constants)
-
+    l_total, l_pil, l_eil = load(series, theta, config.constants)
+    supplied = supply(series, theta, config.constants).total
     signature = LoadSignature(
-        l_total=tuple(r[2] for r in rows),
-        l_passenger=tuple(r[3] for r in rows),
-        l_environment=tuple(r[4] for r in rows),
-        supply=tuple(r[5] for r in rows),
-        residual=tuple(r[6] for r in rows),
+        l_total=l_total[:-1],
+        l_passenger=l_pil[:-1],
+        l_environment=l_eil[:-1],
+        supply=supplied[:-1],
+        residual=l_total[:-1] - supplied[:-1] - balance_target(series, config.constants),
     )
+    columns = [
+        getattr(signature, name).tolist()
+        for name in ("l_total", "l_passenger", "l_environment", "supply", "residual")
+    ]
 
     relative_error = None
     try:
@@ -258,19 +250,14 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
 
     _ensure_out_dir(out_dir)
     lines = ["timestamp,mode,l_total,l_passenger,l_environment,supply,residual"]
-    for ts, mode, l_total, l_pil, l_eil, total_supply, residual in rows:
+    for ts, mode, *values in zip(series.timestamps()[:-1], series.mode.tolist(), *columns):
         lines.append(
-            f"{ts.astimezone(timezone.utc).isoformat()},{mode.value},"
-            f"{l_total!r},{l_pil!r},{l_eil!r},{total_supply!r},{residual!r}"
+            f"{ts.astimezone(timezone.utc).isoformat()},{mode.value},{','.join(map(repr, values))}"
         )
     _write_text(os.path.join(out_dir, "signature.csv"), "\n".join(lines) + "\n")
 
-    sums = {
-        "l_total": sum(signature.l_total),
-        "l_passenger": sum(signature.l_passenger),
-        "l_environment": sum(signature.l_environment),
-        "supply": sum(signature.supply),
-    }
+    # builtin sum over Python floats in frame order, not the pairwise np.sum
+    sums = dict(zip(("l_total", "l_passenger", "l_environment", "supply"), map(sum, columns)))
     shares = {}
     if sums["l_total"] != 0.0:
         shares = {
@@ -280,14 +267,14 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
     _write_json(
         os.path.join(out_dir, "summary.json"),
         {
-            "frames": len(rows),
+            "frames": len(series) - 1,
             "theta": asdict(theta),
             "totals": sums,
             "shares": shares or None,
             "integrated_relative_error": relative_error,
         },
     )
-    print(f"wrote signature.csv ({len(rows)} frames) and summary.json")
+    print(f"wrote signature.csv ({len(series) - 1} frames) and summary.json")
 
 
 def _coefficient_errors(estimate: Theta, truth: Theta) -> dict:
@@ -373,12 +360,10 @@ def _parser() -> argparse.ArgumentParser:
     common(sub.add_parser("simulate", help="generate a synthetic dataset with known truth"))
     fit = sub.add_parser("fit", help="identify the coefficient triple from a dataset")
     common(fit, dataset=True)
-    group = fit.add_mutually_exclusive_group()
-    group.add_argument("--raw", action="store_true", help="fit on the raw step balance")
-    group.add_argument(
-        "--integrated",
+    fit.add_argument(
+        "--raw",
         action="store_true",
-        help="fit on the prefix-summed balance (default)",
+        help="fit on the raw step balance instead of the prefix-summed one",
     )
     common(
         sub.add_parser("signature", help="decompose the load series under a given theta"),

@@ -1,16 +1,18 @@
 """Core value types shared by every stage of the pipeline.
 
-All types here are immutable: frames and constants get passed between
-ingestion, model evaluation, and fitting code without defensive copies.
+All types here are immutable: records, constants and coefficients get
+passed between ingestion, model evaluation, and fitting code without
+defensive copies.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Optional
+
+import numpy as np
 
 
 class HvacMode(Enum):
@@ -74,33 +76,6 @@ class SensorRecord:
 
 
 @dataclass(frozen=True)
-class Frame:
-    """One fully resolved step on the regular time grid.
-
-    delta is the indoor temperature change to the next frame and is None
-    only on the final frame of a series.
-    """
-
-    t_in: float
-    t_out: float
-    n: float
-    t_water_in: float
-    t_water_out: float
-    v_cool_w: float
-    e_v: float
-    mode: HvacMode
-    delta: Optional[float] = None
-
-    def __post_init__(self):
-        if self.n < 0:
-            raise ValueError(f"passenger count must be nonnegative, got {self.n}")
-        if self.v_cool_w < 0 or self.e_v < 0:
-            raise ValueError("v_cool_w and e_v must be nonnegative")
-        if self.delta is not None and not math.isfinite(self.delta):
-            raise ValueError(f"delta must be finite where present, got {self.delta}")
-
-
-@dataclass(frozen=True)
 class Theta:
     """Identified coefficient triple.
 
@@ -118,31 +93,32 @@ def theta_is_feasible(theta: Theta) -> bool:
     return theta.c_p > 0 and theta.alpha > 0 and theta.beta_ac >= 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LoadSignature:
     """Per-frame load decomposition for the frames that have a delta.
 
-    All series share one length. residual is the closure of the energy
-    balance: l_total - supply - thermal_mass * delta per frame.
+    All series are read-only float arrays of one length. residual is the
+    closure of the energy balance: l_total - supply - thermal_mass * delta
+    per frame.
     """
 
-    l_total: tuple[float, ...]
-    l_passenger: tuple[float, ...]
-    l_environment: tuple[float, ...]
-    supply: tuple[float, ...]
-    residual: tuple[float, ...]
+    l_total: np.ndarray
+    l_passenger: np.ndarray
+    l_environment: np.ndarray
+    supply: np.ndarray
+    residual: np.ndarray
     relative_error: Optional[float] = None
 
     def __post_init__(self):
-        lengths = {
-            len(self.l_total),
-            len(self.l_passenger),
-            len(self.l_environment),
-            len(self.supply),
-            len(self.residual),
-        }
-        if len(lengths) != 1:
+        names = ("l_total", "l_passenger", "l_environment", "supply", "residual")
+        for name in names:
+            column = np.asarray(getattr(self, name), dtype=float)
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if len({getattr(self, name).shape for name in names}) != 1:
             raise ValueError("signature series must all share one length")
-        for tot, pil, eil in zip(self.l_total, self.l_passenger, self.l_environment):
-            if not math.isclose(tot, pil + eil, rel_tol=1e-12, abs_tol=1e-9):
-                raise ValueError("l_total must equal l_passenger + l_environment")
+        # math.isclose(l_total, l_passenger + l_environment, rel_tol=1e-12, abs_tol=1e-9) per frame
+        parts = self.l_passenger + self.l_environment
+        tolerance = np.maximum(1e-12 * np.maximum(np.abs(self.l_total), np.abs(parts)), 1e-9)
+        if not ((self.l_total == parts) | (np.abs(self.l_total - parts) <= tolerance)).all():
+            raise ValueError("l_total must equal l_passenger + l_environment")

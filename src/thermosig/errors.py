@@ -87,11 +87,6 @@ class TooShort(IngestError):
         super().__init__(f"need at least 2 frames, got {count}")
 
 
-class MissingDelta(ThermosigError):
-    def __init__(self):
-        super().__init__("frame has no temperature delta (final frame of a series)")
-
-
 class RegressionError(ThermosigError):
     """Base class for system assembly and fitting errors."""
 

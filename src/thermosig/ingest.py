@@ -17,7 +17,7 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .core import Frame, HvacMode, SensorRecord, StationConstants
+from .core import HvacMode, SensorRecord, StationConstants
 from .errors import (
     AllChannelsMissing,
     BadNumber,
@@ -67,35 +67,70 @@ class ModeRule:
         return replace(self, e_v_idle=self.e_v_idle_fraction * e_v_max)
 
 
-@dataclass(frozen=True)
-class FrameSeries:
-    """Frames on a regular grid: frame i sits at start + i * step seconds.
+CHANNELS = ("t_in", "t_out", "n", "t_water_in", "t_water_out", "v_cool_w", "e_v")
+# rows: water loop inactive/active; columns: ventilator inactive/active
+_MODE_TABLE = np.array(
+    [[HvacMode.OFF, HvacMode.NEW_AIR], [HvacMode.REFRIGERATOR, HvacMode.MIXED]], dtype=object
+)
 
-    Every frame except the last carries the temperature delta to its
-    successor; the last frame's delta is None.
+
+@dataclass(frozen=True, eq=False)
+class FrameSeries:
+    """Frames on a regular grid, stored as aligned read-only columns.
+
+    Frame i sits at start + i * step seconds. Each channel in CHANNELS is
+    a float64 array with one entry per frame, and mode holds the frame's
+    HvacMode. delta, the indoor temperature change to the next frame, is
+    derived: it has one entry fewer than the series, since the final
+    frame has no successor.
     """
 
     start: datetime
     step: float
-    frames: tuple[Frame, ...]
+    t_in: np.ndarray
+    t_out: np.ndarray
+    n: np.ndarray
+    t_water_in: np.ndarray
+    t_water_out: np.ndarray
+    v_cool_w: np.ndarray
+    e_v: np.ndarray
+    mode: np.ndarray
 
     def __post_init__(self):
-        if len(self.frames) < 2:
-            raise TooShort(len(self.frames))
-        for frame in self.frames[:-1]:
-            if frame.delta is None:
-                raise ValueError("only the final frame may lack a delta")
-        if self.frames[-1].delta is not None:
-            raise ValueError("the final frame must not carry a delta")
+        length = len(self.t_in)
+        for name in (*CHANNELS, "mode"):
+            column = np.asarray(getattr(self, name), dtype=object if name == "mode" else float)
+            if column.shape != (length,):
+                raise ValueError(f"channel {name!r} has shape {column.shape}, expected ({length},)")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+        if length < 2:
+            raise TooShort(length)
+        for name, rule, bad in (
+            *((name, "nonnegative", getattr(self, name) < 0) for name in ("n", "v_cool_w", "e_v")),
+            ("t_in", "finite", ~np.isfinite(self.t_in)),
+        ):
+            if bad.any():
+                index = int(np.argmax(bad))
+                value = getattr(self, name)[index]
+                raise ValueError(f"channel {name!r} must be {rule}, got {value} at index {index}")
+
+    @property
+    def delta(self) -> np.ndarray:
+        return np.diff(self.t_in)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.t_in)
 
-    def __iter__(self):
-        return iter(self.frames)
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FrameSeries):
+            return NotImplemented
+        return (self.start, self.step) == (other.start, other.step) and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in (*CHANNELS, "mode")
+        )
 
     def timestamps(self) -> list[datetime]:
-        return [self.start + timedelta(seconds=i * self.step) for i in range(len(self.frames))]
+        return [self.start + timedelta(seconds=i * self.step) for i in range(len(self))]
 
 
 def _parse_timestamp(cell: str, row: int) -> datetime:
@@ -349,28 +384,19 @@ def interpolate_passengers(
     return [float(v) for v in values]
 
 
-def classify_mode(
-    v_cool_w: float,
-    t_water_in: float,
-    t_water_out: float,
-    e_v: float,
-    rule: ModeRule = ModeRule(),
-) -> HvacMode:
-    """Decide the plant mode for one step from its actuator channels.
+def classify_mode(v_cool_w, t_water_in, t_water_out, e_v, rule: ModeRule = ModeRule()):
+    """Decide the plant mode per step from its actuator channels.
 
-    Total and deterministic: every channel combination maps to exactly
-    one of the four modes.
+    Takes scalars or equally shaped arrays: returns one HvacMode for
+    scalars, an object array of HvacMode for arrays. Total and
+    deterministic: every channel combination maps to exactly one of the
+    four modes.
     """
     idle = rule.e_v_idle if rule.e_v_idle is not None else 0.0
-    water_active = v_cool_w * abs(t_water_in - t_water_out) > rule.water_activity_min
-    vent_active = e_v > idle
-    if water_active and vent_active:
-        return HvacMode.MIXED
-    if water_active:
-        return HvacMode.REFRIGERATOR
-    if vent_active:
-        return HvacMode.NEW_AIR
-    return HvacMode.OFF
+    water_split = np.abs(np.subtract(t_water_in, t_water_out))
+    water_active = np.asarray(v_cool_w) * water_split > rule.water_activity_min
+    vent_active = np.asarray(e_v) > idle
+    return _MODE_TABLE[water_active.astype(int), vent_active.astype(int)]
 
 
 def _fill_gaps(series: np.ndarray, grid: Sequence[datetime], max_gap: int) -> np.ndarray:
@@ -466,28 +492,7 @@ def build_frames(
         n_per_step = [0.0] * n_steps
 
     resolved = rule.resolve(float(channels["e_v"].max()))
-    t_in = channels["t_in"]
-    frames = []
-    for i in range(n_steps):
-        mode = classify_mode(
-            v_cool_w=float(channels["v_cool_w"][i]),
-            t_water_in=float(channels["t_water_in"][i]),
-            t_water_out=float(channels["t_water_out"][i]),
-            e_v=float(channels["e_v"][i]),
-            rule=resolved,
-        )
-        delta = float(t_in[i + 1] - t_in[i]) if i + 1 < n_steps else None
-        frames.append(
-            Frame(
-                t_in=float(t_in[i]),
-                t_out=float(channels["t_out"][i]),
-                n=n_per_step[i],
-                t_water_in=float(channels["t_water_in"][i]),
-                t_water_out=float(channels["t_water_out"][i]),
-                v_cool_w=float(channels["v_cool_w"][i]),
-                e_v=float(channels["e_v"][i]),
-                mode=mode,
-                delta=delta,
-            )
-        )
-    return FrameSeries(start=start, step=step, frames=tuple(frames))
+    mode = classify_mode(
+        channels["v_cool_w"], channels["t_water_in"], channels["t_water_out"], channels["e_v"], resolved
+    )
+    return FrameSeries(start=start, step=step, n=n_per_step, mode=mode, **channels)

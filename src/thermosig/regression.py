@@ -122,17 +122,6 @@ class GridSpec:
     def alpha_axis(self) -> np.ndarray:
         return self._axis(self.alpha_min, self.alpha_max)
 
-    def to_dict(self) -> dict:
-        return {
-            "c_p_max": self.c_p_max,
-            "alpha_max": self.alpha_max,
-            "c_p_min": self.c_p_min,
-            "alpha_min": self.alpha_min,
-            "cells": self.cells,
-            "spacing": self.spacing,
-            "refinement_passes": self.refinement_passes,
-        }
-
 
 @dataclass(frozen=True)
 class FitResult:
@@ -158,25 +147,21 @@ def assemble(
 ) -> RegressionSystem:
     """Build the regression system from the frames matching the filter.
 
-    Only frames that carry a delta participate. Raises EmptySystem when
-    the filter leaves nothing.
+    This is the one place the row formula lives. Only frames that carry
+    a delta participate. Raises EmptySystem when the filter leaves nothing.
     """
-    rows = []
-    targets = []
-    for frame in series:
-        if frame.delta is None or frame.mode not in mode_filter:
-            continue
-        rows.append(
-            (
-                frame.n * (constants.t_p - frame.t_in),
-                frame.t_out - frame.t_in,
-                frame.v_cool_w * (frame.t_water_in - frame.t_water_out),
-            )
-        )
-        targets.append(constants.thermal_mass * frame.delta)
-    if not rows:
+    keep = np.flatnonzero(np.isin(series.mode[:-1], tuple(mode_filter)))
+    if not len(keep):
         raise EmptySystem()
-    return RegressionSystem(rows=np.array(rows), targets=np.array(targets))
+    t_in = series.t_in[keep]
+    rows = np.column_stack(
+        [
+            series.n[keep] * (constants.t_p - t_in),
+            series.t_out[keep] - t_in,
+            series.v_cool_w[keep] * (series.t_water_in[keep] - series.t_water_out[keep]),
+        ]
+    )
+    return RegressionSystem(rows=rows, targets=constants.thermal_mass * series.delta[keep])
 
 
 def integrate(system: RegressionSystem) -> RegressionSystem:

@@ -25,8 +25,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import Frame, HvacMode, SensorRecord, StationConstants, Theta
-from .errors import DivergedState
+from .core import SensorRecord, StationConstants, Theta
+from .errors import DivergedState, EmptySystem
 from .ingest import (
     CsvSchema,
     FrameSeries,
@@ -36,6 +36,7 @@ from .ingest import (
     write_records_csv,
 )
 from .models import fan_airflow
+from .regression import assemble
 
 T_IN_FLOOR = -20.0
 T_IN_CEILING = 60.0
@@ -263,7 +264,6 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, floa
         n_per_step = [0.0] * n_steps
 
     e_v_min = plant.e_v_min_fraction * plant.e_v_max
-    rule = ModeRule(e_v_idle=0.0)
 
     latent_t = np.empty(n_steps)
     t_out_series = np.empty(n_steps)
@@ -271,7 +271,6 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, floa
     water_out = np.empty(n_steps)
     v_cool = np.empty(n_steps)
     e_v_series = np.empty(n_steps)
-    modes: list[HvacMode] = []
 
     temperature = scenario.initial_t_in if scenario.initial_t_in is not None else plant.setpoint
     cooling_on = False
@@ -320,17 +319,9 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, floa
             water_in[i] = plant.water_supply_temp
         e_v_series[i] = e_v
 
-        mode = classify_mode(
-            v_cool_w=v_cool[i],
-            t_water_in=water_in[i],
-            t_water_out=water_out[i],
-            e_v=e_v,
-            rule=rule,
-        )
-        modes.append(mode)
-
+        # the ventilation path is active exactly when classify_mode says so under e_v_idle=0
         supply_na = 0.0
-        if mode in (HvacMode.NEW_AIR, HvacMode.MIXED):
+        if e_v > 0:
             supply_na = constants.c * fan_airflow(e_v, constants.beta_v) * (temperature - t_out)
         supply_total = supply_na + (water_in[i] - water_out[i]) * v_cool[i] * theta.beta_ac
 
@@ -344,42 +335,30 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, floa
     emitted_water_in = scenario.noise.apply(water_in, rng)
     emitted_water_out = scenario.noise.apply(water_out, rng)
 
-    frames = []
-    for i in range(n_steps):
-        delta = float(emitted_t_in[i + 1] - emitted_t_in[i]) if i + 1 < n_steps else None
-        frames.append(
-            Frame(
-                t_in=float(emitted_t_in[i]),
-                t_out=float(emitted_t_out[i]),
-                n=n_per_step[i],
-                t_water_in=float(emitted_water_in[i]),
-                t_water_out=float(emitted_water_out[i]),
-                v_cool_w=float(v_cool[i]),
-                e_v=float(e_v_series[i]),
-                mode=modes[i],
-                delta=delta,
-            )
-        )
-    series = FrameSeries(start=scenario.start, step=constants.step, frames=tuple(frames))
+    series = FrameSeries(
+        start=scenario.start,
+        step=constants.step,
+        t_in=emitted_t_in,
+        t_out=emitted_t_out,
+        n=n_per_step,
+        t_water_in=emitted_water_in,
+        t_water_out=emitted_water_out,
+        v_cool_w=v_cool,
+        e_v=e_v_series,
+        mode=classify_mode(v_cool, water_in, water_out, e_v_series, ModeRule(e_v_idle=0.0)),
+    )
 
     _warn_if_collinear(series, constants)
     return series, anchors
 
 
 def _warn_if_collinear(series: FrameSeries, constants: StationConstants) -> None:
-    columns = []
-    for frame in series:
-        if frame.mode is HvacMode.REFRIGERATOR and frame.delta is not None:
-            columns.append(
-                (
-                    frame.n * (constants.t_p - frame.t_in),
-                    frame.t_out - frame.t_in,
-                    frame.v_cool_w * (frame.t_water_in - frame.t_water_out),
-                )
-            )
-    if len(columns) < 3:
+    try:
+        matrix = assemble(series, constants).rows
+    except EmptySystem:
         return
-    matrix = np.array(columns)
+    if len(matrix) < 3:
+        return
     for first, second in ((0, 1), (0, 2), (1, 2)):
         x = matrix[:, first]
         y = matrix[:, second]
@@ -404,26 +383,13 @@ def emit_csv(
 ) -> None:
     """Write the series in the dataset CSV layout, one indoor and one
     outdoor channel, with passenger counts on their anchor rows."""
-    anchor_by_ts = {ts: count for ts, count in anchors}
-    records = []
-    for ts, frame in zip(series.timestamps(), series):
-        records.append(
-            SensorRecord(
-                timestamp=ts,
-                indoor=(frame.t_in,),
-                outdoor=(frame.t_out,),
-                t_water_in=frame.t_water_in,
-                t_water_out=frame.t_water_out,
-                v_cool_w=frame.v_cool_w,
-                e_v=frame.e_v,
-                passengers=anchor_by_ts.get(ts),
-            )
-        )
+    anchor_by_ts = dict(anchors)
+    columns = (series.t_in, series.t_out, series.t_water_in, series.t_water_out, series.v_cool_w, series.e_v)
+    records = [
+        SensorRecord(ts, (t_in,), (t_out,), *plant, passengers=anchor_by_ts.get(ts))
+        for ts, t_in, t_out, *plant in zip(series.timestamps(), *(column.tolist() for column in columns))
+    ]
     write_records_csv(records, path, schema)
-
-
-def _profile_to_dict(value) -> dict:
-    return asdict(value)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
@@ -433,10 +399,10 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "seed": scenario.seed,
         "theta_true": asdict(scenario.theta_true),
         "constants": asdict(scenario.constants),
-        "outdoor": _profile_to_dict(scenario.outdoor),
-        "passengers": _profile_to_dict(scenario.passengers),
-        "hvac": _profile_to_dict(scenario.hvac),
-        "noise": _profile_to_dict(scenario.noise),
+        "outdoor": asdict(scenario.outdoor),
+        "passengers": asdict(scenario.passengers),
+        "hvac": asdict(scenario.hvac),
+        "noise": asdict(scenario.noise),
         "initial_t_in": scenario.initial_t_in,
     }
 

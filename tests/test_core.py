@@ -1,11 +1,12 @@
 """Validation behavior of the shared value types."""
 
 import dataclasses
+from datetime import datetime, timezone
 
 import pytest
 
 from thermosig import (
-    Frame,
+    FrameSeries,
     HvacMode,
     LoadSignature,
     StationConstants,
@@ -42,32 +43,41 @@ class TestStationConstants:
 
 
 class TestFrame:
-    def _frame(self, **overrides):
+    """Per-frame values, checked once when a FrameSeries is built."""
+
+    def _series(self, **overrides):
+        # two frames; each override replaces the second frame's value
         base = dict(
             t_in=27.0, t_out=33.0, n=10.0,
             t_water_in=12.0, t_water_out=7.0, v_cool_w=0.4, e_v=0.0,
-            mode=HvacMode.REFRIGERATOR, delta=0.01,
+            mode=HvacMode.REFRIGERATOR,
         )
-        base.update(overrides)
-        return Frame(**base)
+        columns = {name: [value, value] for name, value in base.items()}
+        columns["t_in"][1] = 27.01
+        for name, value in overrides.items():
+            columns[name][1] = value
+        return FrameSeries(start=datetime(2021, 6, 1, tzinfo=timezone.utc), step=60.0, **columns)
 
     def test_valid_frame(self):
-        frame = self._frame()
-        assert frame.delta == 0.01
+        series = self._series()
+        assert series.delta.tolist() == [27.01 - 27.0]
+        assert series.mode.tolist() == [HvacMode.REFRIGERATOR] * 2
 
     def test_delta_may_be_none(self):
-        assert self._frame(delta=None).delta is None
+        # the final frame has no successor, so the derived delta stops short of it
+        assert len(self._series().delta) == len(self._series()) - 1
 
     @pytest.mark.parametrize("overrides", [
         {"n": -1.0},
         {"v_cool_w": -0.1},
         {"e_v": -5.0},
-        {"delta": float("nan")},
-        {"delta": float("inf")},
+        {"t_in": float("nan")},
+        {"t_in": float("inf")},
     ])
     def test_rejects_bad_values(self, overrides):
-        with pytest.raises(ValueError):
-            self._frame(**overrides)
+        (channel,) = overrides
+        with pytest.raises(ValueError, match=f"{channel!r}.* at index 1"):
+            self._series(**overrides)
 
 
 class TestTheta:

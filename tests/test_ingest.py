@@ -31,7 +31,7 @@ from thermosig.errors import (
     TooShort,
     UnsortedAnchors,
 )
-from thermosig.ingest import FrameSeries
+from thermosig.ingest import CHANNELS, FrameSeries
 
 T0 = datetime(2021, 6, 1, 9, 0, tzinfo=timezone.utc)
 CONSTANTS = StationConstants(step=60.0)
@@ -259,6 +259,15 @@ class TestClassifyMode:
         assert classify_mode(0.0, 12.0, 7.0, 125.0) is HvacMode.NEW_AIR
         assert classify_mode(0.0, 12.0, 7.0, 0.0) is HvacMode.OFF
 
+    def test_arrays_classify_per_step(self):
+        modes = classify_mode(
+            np.array([0.4, 0.4, 0.0, 0.0]),
+            np.full(4, 12.0),
+            np.full(4, 7.0),
+            np.array([125.0, 0.0, 125.0, 0.0]),
+        )
+        assert modes.tolist() == [HvacMode.MIXED, HvacMode.REFRIGERATOR, HvacMode.NEW_AIR, HvacMode.OFF]
+
     def test_flow_without_temperature_split_is_inactive(self):
         # water circulating but not exchanging heat
         assert classify_mode(0.4, 7.0, 7.0, 0.0) is HvacMode.OFF
@@ -286,20 +295,20 @@ class TestBuildFrames:
             _record(4, t_in=34.0),
         ]
         series = build_frames(records, CONSTANTS)
-        assert [f.t_in for f in series] == [30.0, 31.0, 32.0, 33.0, 34.0]
-        assert [f.delta for f in series] == [1.0, 1.0, 1.0, 1.0, None]
+        assert series.t_in.tolist() == [30.0, 31.0, 32.0, 33.0, 34.0]
+        assert series.delta.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_missing_rows_become_gaps(self):
         # the minute-2 row is absent entirely; every channel interpolates
         records = [_record(0, t_in=30.0), _record(1, t_in=31.0), _record(3, t_in=33.0)]
         series = build_frames(records, CONSTANTS)
         assert len(series) == 4
-        assert series.frames[2].t_in == 32.0
+        assert series.t_in[2] == 32.0
 
     def test_edge_gap_holds_nearest_value(self):
         records = [_record(0, t_in=None), _record(1, t_in=28.0), _record(2, t_in=29.0)]
         series = build_frames(records, CONSTANTS)
-        assert series.frames[0].t_in == 28.0
+        assert series.t_in[0] == 28.0
 
     def test_gap_longer_than_limit_raises(self):
         records = [_record(0, t_in=30.0), _record(7, t_in=31.0)]
@@ -331,7 +340,7 @@ class TestBuildFrames:
         records = [_record(2, t_in=29.0), _record(0, t_in=27.0), _record(1, t_in=28.0)]
         series = build_frames(records, CONSTANTS)
         assert series.start == _ts(0)
-        assert [f.t_in for f in series] == [27.0, 28.0, 29.0]
+        assert series.t_in.tolist() == [27.0, 28.0, 29.0]
 
     def test_mode_threshold_resolved_from_observed_maximum(self):
         # max e_v is 500, so the default 1% threshold is 5: the 4.9 row idles
@@ -341,26 +350,33 @@ class TestBuildFrames:
             _record(2, v_cool_w=0.0, t_water_in=7.0, e_v=6.0),
         ]
         series = build_frames(records, CONSTANTS)
-        assert [f.mode for f in series] == [HvacMode.NEW_AIR, HvacMode.OFF, HvacMode.NEW_AIR]
+        assert series.mode.tolist() == [HvacMode.NEW_AIR, HvacMode.OFF, HvacMode.NEW_AIR]
 
     def test_passenger_anchors_drive_per_step_counts(self):
         records = [_record(float(m)) for m in range(61)]
         records[60] = _record(60.0, passengers=60.0)
         series = build_frames(records, CONSTANTS)
-        counts = [f.n for f in series]
+        counts = series.n.tolist()
         assert math.fsum(counts[:60]) == 60.0
 
     def test_no_anchors_means_empty_station(self):
         series = build_frames([_record(0), _record(1)], CONSTANTS)
-        assert all(f.n == 0.0 for f in series)
+        assert series.n.tolist() == [0.0, 0.0]
 
 
 class TestFrameSeries:
-    def test_delta_layout_enforced(self):
-        good = build_frames([_record(0), _record(1)], CONSTANTS)
-        with pytest.raises(ValueError, match="delta"):
-            FrameSeries(start=good.start, step=good.step, frames=good.frames[::-1])
-
     def test_timestamps_follow_the_grid(self):
         series = build_frames([_record(0), _record(1), _record(2)], CONSTANTS)
         assert series.timestamps() == [_ts(0), _ts(1), _ts(2)]
+
+    def test_columns_are_read_only(self):
+        series = build_frames([_record(0), _record(1)], CONSTANTS)
+        with pytest.raises(ValueError):
+            series.t_in[0] = 0.0
+
+    def test_channel_lengths_must_agree(self):
+        good = build_frames([_record(0), _record(1)], CONSTANTS)
+        columns = {name: getattr(good, name) for name in (*CHANNELS, "mode")}
+        columns["e_v"] = columns["e_v"][:1]
+        with pytest.raises(ValueError, match="'e_v'"):
+            FrameSeries(start=good.start, step=good.step, **columns)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from thermosig import (
-    Frame,
+    FrameSeries,
     GridSpec,
     HvacMode,
     RegressionSystem,
@@ -27,25 +27,21 @@ from thermosig.errors import (
     NoFeasiblePoint,
     ZeroDenominator,
 )
-from thermosig.ingest import FrameSeries
 
 
-def _series(frames):
+def _series(*frames):
+    """One frame per dict of overrides; t_in rises by 1 a frame, so every delta is 1."""
+    base = dict(
+        t_out=33.0, n=10.0,
+        t_water_in=12.0, t_water_out=7.0, v_cool_w=0.4, e_v=0.0,
+        mode=HvacMode.REFRIGERATOR,
+    )
+    rows = [{**base, "t_in": 27.0 + i, **overrides} for i, overrides in enumerate(frames)]
     return FrameSeries(
         start=datetime(2021, 6, 1, tzinfo=timezone.utc),
         step=60.0,
-        frames=tuple(frames),
+        **{name: [row[name] for row in rows] for name in rows[0]},
     )
-
-
-def _frame(mode=HvacMode.REFRIGERATOR, delta=1.0, **overrides):
-    base = dict(
-        t_in=27.0, t_out=33.0, n=10.0,
-        t_water_in=12.0, t_water_out=7.0, v_cool_w=0.4, e_v=0.0,
-        mode=mode, delta=delta,
-    )
-    base.update(overrides)
-    return Frame(**base)
 
 
 def _system(rows, targets):
@@ -67,30 +63,30 @@ class TestAssemble:
         # a1 = 10 * (37 - 27) = 100, a2 = 33 - 27 = 6,
         # a3 = 0.4 * (12 - 7) = 2, b = 1 * 121 * 1 = 121
         constants = StationConstants(c=1.0, m_z=121.0)
-        system = assemble(_series([_frame(), _frame(delta=None)]), constants)
+        system = assemble(_series({}, {}), constants)
         assert system.rows.tolist() == [[100.0, 6.0, 2.0]]
         assert system.targets.tolist() == [121.0]
 
     def test_filter_drops_other_modes_and_final_frame(self):
-        frames = [
-            _frame(),
-            _frame(mode=HvacMode.NEW_AIR, e_v=125.0, v_cool_w=0.0),
-            _frame(mode=HvacMode.OFF, v_cool_w=0.0),
-            _frame(delta=None),
-        ]
-        system = assemble(_series(frames), StationConstants())
+        series = _series(
+            {},
+            {"mode": HvacMode.NEW_AIR, "e_v": 125.0, "v_cool_w": 0.0},
+            {"mode": HvacMode.OFF, "v_cool_w": 0.0},
+            {},  # the final frame has no delta
+        )
+        system = assemble(series, StationConstants())
         assert len(system) == 1
 
     def test_widened_filter_includes_mixed(self):
-        frames = [_frame(), _frame(mode=HvacMode.MIXED, e_v=125.0), _frame(delta=None)]
+        series = _series({}, {"mode": HvacMode.MIXED, "e_v": 125.0}, {})
         both = frozenset({HvacMode.REFRIGERATOR, HvacMode.MIXED})
-        system = assemble(_series(frames), StationConstants(), mode_filter=both)
+        system = assemble(series, StationConstants(), mode_filter=both)
         assert len(system) == 2
 
     def test_nothing_matching_raises(self):
-        frames = [_frame(mode=HvacMode.OFF, v_cool_w=0.0), _frame(delta=None)]
+        series = _series({"mode": HvacMode.OFF, "v_cool_w": 0.0}, {})
         with pytest.raises(EmptySystem):
-            assemble(_series(frames), StationConstants())
+            assemble(series, StationConstants())
 
 
 class TestRegressionSystem:

@@ -131,28 +131,23 @@ class TestSimulate:
     def test_noiseless_frames_close_the_energy_balance(self):
         scenario = _one_day()
         series, _ = simulate(scenario)
-        residuals = []
-        scale = 0.0
-        for frame in series:
-            if frame.delta is None:
-                continue
-            l_total, _, _ = load(frame, scenario.theta_true, scenario.constants)
-            supplied = supply(frame, scenario.theta_true, scenario.constants).total
-            residuals.append(abs(l_total - supplied - balance_target(frame, scenario.constants)))
-            scale = max(scale, abs(l_total))
-        assert max(residuals) <= 1e-9 * scale
+        l_total, _, _ = load(series, scenario.theta_true, scenario.constants)
+        supplied = supply(series, scenario.theta_true, scenario.constants).total
+        residuals = np.abs(l_total[:-1] - supplied[:-1] - balance_target(series, scenario.constants))
+        scale = np.abs(l_total[:-1]).max()
+        assert residuals.max() <= 1e-9 * scale
 
     def test_plant_stays_off_outside_the_schedule(self):
         series, _ = simulate(_one_day())
-        for ts, frame in zip(series.timestamps(), series):
-            if not 5 <= ts.hour < 23:
-                assert frame.mode is HvacMode.OFF
-                assert frame.e_v == 0.0 and frame.v_cool_w == 0.0
+        off_hours = np.array([not 5 <= ts.hour < 23 for ts in series.timestamps()])
+        assert off_hours.any()
+        assert (series.mode[off_hours] == HvacMode.OFF).all()
+        assert (series.e_v[off_hours] == 0.0).all() and (series.v_cool_w[off_hours] == 0.0).all()
 
     def test_per_step_counts_match_the_hourly_anchors(self):
         scenario = _one_day()
         series, anchors = simulate(scenario)
-        counts = [frame.n for frame in series]
+        counts = series.n.tolist()
         steps_per_hour = int(3600 / scenario.constants.step)
         for ts, count in anchors:
             end = int((ts - scenario.start).total_seconds() / scenario.constants.step)
@@ -186,7 +181,7 @@ class TestSimulate:
         with pytest.warns(UserWarning, match="hour boundary"):
             series, anchors = simulate(scenario)
         assert anchors == []
-        assert all(frame.n == 0.0 for frame in series)
+        assert (series.n == 0.0).all()
 
 
 class TestCsvRoundTrip:
@@ -194,7 +189,7 @@ class TestCsvRoundTrip:
         series, _, _ = reference_run
         assert reference_frames.start == series.start
         assert reference_frames.step == series.step
-        assert reference_frames.frames == series.frames
+        assert reference_frames == series
 
     def test_noisy_round_trip_is_bit_exact(self, tmp_path):
         scenario = _one_day(noise=NoiseModel(temp_std=0.05, temp_quantization=0.1), seed=9)
@@ -202,7 +197,7 @@ class TestCsvRoundTrip:
         path = str(tmp_path / "noisy.csv")
         emit_csv(series, anchors, path)
         rebuilt = build_frames(parse_csv(path), scenario.constants)
-        assert rebuilt.frames == series.frames
+        assert rebuilt == series
 
 
 class TestScenarioSerialization:
