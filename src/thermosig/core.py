@@ -107,7 +107,6 @@ class LoadSignature:
     l_environment: np.ndarray
     supply: np.ndarray
     residual: np.ndarray
-    relative_error: Optional[float] = None
 
     def __post_init__(self):
         names = ("l_total", "l_passenger", "l_environment", "supply", "residual")

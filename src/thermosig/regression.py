@@ -12,6 +12,9 @@ grid; for each cell the optimal beta_ac has a closed form, the weighted
 median of the per-row ratios. Prefix-summed variants of the rows tame
 sensor quantization zigzag in b: integrated targets telescope to a
 temperature difference, so step-level rounding stops accumulating.
+
+Grid cells are evaluated in batches whose size follows from the row
+count, so a batch's working arrays fit in a core's L2 cache.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (
 )
 from .ingest import FrameSeries
 
-_BATCH_CELLS = 512
+_BATCH_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -198,13 +201,14 @@ def objective(theta: Theta, system: RegressionSystem, use_integrated: bool = Fal
     return numerator / denominator
 
 
-def _beta_batch(
+def _evaluate_cells(
     c_p: np.ndarray,
     alpha: np.ndarray,
     rows: np.ndarray,
     targets: np.ndarray,
+    threads: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form inner solve for a batch of (c_p, alpha) cells.
+    """Closed-form inner solve for every (c_p, alpha) cell.
 
     For fixed c_p and alpha the numerator is sum |r_i - a3_i * beta| with
     r_i = a1_i c_p + a2_i alpha - b_i, an L1 line fit through the origin.
@@ -213,24 +217,62 @@ def _beta_batch(
     median is clamped at zero; at an exact weight split the smaller
     candidate wins.
 
+    Cells are evaluated in batches of about _BATCH_ELEMENTS cell-rows, so
+    each float64 working array (512 KiB) fits in a core's L2 cache. Each
+    worker takes every `threads`-th batch and reuses one set of working
+    arrays for all of them. The batch size follows from the row count
+    alone, and every cell is reduced along its own row, so the results are
+    bit-identical for any batch size and any `threads`.
+
     Returns (beta, numerator) per cell.
     """
-    residual = c_p[:, None] * rows[:, 0] + alpha[:, None] * rows[:, 1] - targets
-    a3 = rows[:, 2]
+    a1, a2, a3 = (np.ascontiguousarray(rows[:, j]) for j in range(3))
     nonzero = a3 != 0.0
-    if not nonzero.any():
-        beta = np.zeros(len(c_p))
+    # a basic slice keeps residual[:, kept] a view when every row has weight
+    kept = slice(None) if nonzero.all() else np.flatnonzero(nonzero)
+    a3_kept = a3[kept]
+    weights = np.abs(a3_kept)
+    half_weight = 0.5 * weights.sum()
+
+    n_rows, n_kept, n_cells = len(a3), len(weights), len(c_p)
+    beta = np.zeros(n_cells)
+    numerator = np.empty(n_cells)
+    batch = max(1, _BATCH_ELEMENTS // n_rows)
+
+    def run(starts: range) -> None:
+        # Arrays freed after every batch went back to the OS, and faulting
+        # them in again took a third of a pass, so a worker allocates once.
+        wide = np.empty((2, batch * n_rows))
+        narrow = np.empty(batch * n_kept)
+        flags = np.empty(batch * n_kept, dtype=bool)
+        for lo in starts:
+            hi = min(lo + batch, n_cells)
+            cells = hi - lo
+            residual, scratch = (buf[: cells * n_rows].reshape(cells, n_rows) for buf in wide)
+            np.multiply(c_p[lo:hi, None], a1, out=residual)
+            residual += np.multiply(alpha[lo:hi, None], a2, out=scratch)
+            residual -= targets
+            if n_kept:
+                ratios = wide[1, : cells * n_kept].reshape(cells, n_kept)
+                np.divide(residual[:, kept], a3_kept, out=ratios)
+                order = np.argsort(ratios, axis=1)
+                cumulative = narrow[: cells * n_kept].reshape(cells, n_kept)
+                np.take(weights, order, out=cumulative)
+                np.cumsum(cumulative, axis=1, out=cumulative)
+                crossed = flags[: cells * n_kept].reshape(cells, n_kept)
+                pick = np.argmax(np.greater_equal(cumulative, half_weight, out=crossed), axis=1)
+                cell = np.arange(cells)
+                beta[lo:hi] = np.maximum(ratios[cell, order[cell, pick]], 0.0)
+            residual -= np.multiply(beta[lo:hi, None], a3, out=scratch)
+            numerator[lo:hi] = np.abs(residual, out=residual).sum(axis=1)
+
+    workers = min(threads, -(-n_cells // batch))
+    if workers > 1:
+        stride = workers * batch
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(run, [range(lo, n_cells, stride) for lo in range(0, stride, batch)]))
     else:
-        a3_nz = a3[nonzero]
-        weights = np.abs(a3_nz)
-        half_weight = 0.5 * weights.sum()
-        ratios = residual[:, nonzero] / a3_nz
-        order = np.argsort(ratios, axis=1)
-        ratios_sorted = np.take_along_axis(ratios, order, axis=1)
-        cumulative = np.cumsum(weights[order], axis=1)
-        pick = np.argmax(cumulative >= half_weight, axis=1)
-        beta = np.maximum(ratios_sorted[np.arange(len(c_p)), pick], 0.0)
-    numerator = np.abs(residual - beta[:, None] * a3).sum(axis=1)
+        run(range(0, n_cells, batch))
     return beta, numerator
 
 
@@ -244,43 +286,8 @@ def best_beta(
     rows, targets = _active(system, use_integrated)
     if not (rows[:, 2] != 0.0).any():
         raise DegenerateColumn("a3")
-    beta, _ = _beta_batch(np.array([c_p]), np.array([alpha]), rows, targets)
+    beta, _ = _evaluate_cells(np.array([c_p]), np.array([alpha]), rows, targets, threads=1)
     return float(beta[0])
-
-
-def _evaluate_cells(
-    c_p: np.ndarray,
-    alpha: np.ndarray,
-    rows: np.ndarray,
-    targets: np.ndarray,
-    load_sums: tuple[float, float],
-    threads: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Objective and best beta for every cell, in deterministic order.
-
-    Cells are evaluated in fixed-size batches; the batch layout and all
-    per-batch reductions are independent of the worker count, so the
-    result arrays are bit-identical for any `threads`.
-    """
-    n_cells = len(c_p)
-    beta = np.empty(n_cells)
-    numerator = np.empty(n_cells)
-    spans = [(lo, min(lo + _BATCH_CELLS, n_cells)) for lo in range(0, n_cells, _BATCH_CELLS)]
-
-    def run(span: tuple[int, int]) -> None:
-        lo, hi = span
-        beta[lo:hi], numerator[lo:hi] = _beta_batch(c_p[lo:hi], alpha[lo:hi], rows, targets)
-
-    if threads > 1 and len(spans) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, spans))
-    else:
-        for span in spans:
-            run(span)
-
-    denominator = c_p * load_sums[0] + alpha * load_sums[1]
-    objective_values = np.where(denominator > 0, numerator / np.where(denominator > 0, denominator, 1.0), np.inf)
-    return objective_values, beta
 
 
 def _neighborhood(axis: np.ndarray, value: float) -> tuple[float, float]:
@@ -335,7 +342,10 @@ def grid_fit(
             alpha_axis = np.linspace(a_lo, a_hi, grid.cells)
 
         cell_c_p, cell_alpha = (arr.ravel() for arr in np.meshgrid(c_p_axis, alpha_axis, indexing="ij"))
-        objective_values, beta = _evaluate_cells(cell_c_p, cell_alpha, rows, targets, load_sums, threads)
+        beta, numerator = _evaluate_cells(cell_c_p, cell_alpha, rows, targets, threads)
+        denominator = cell_c_p * load_sums[0] + cell_alpha * load_sums[1]
+        feasible = denominator > 0
+        objective_values = np.where(feasible, numerator / np.where(feasible, denominator, 1.0), np.inf)
 
         if pass_index == 0:
             if collect_surface:

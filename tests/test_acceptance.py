@@ -16,7 +16,6 @@ import numpy as np
 from thermosig import (
     GridSpec,
     NoiseModel,
-    PassengerProfile,
     RegressionSystem,
     Theta,
     assemble,

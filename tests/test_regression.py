@@ -1,13 +1,13 @@
 """System assembly, the relative L1 objective, the closed-form inner
 solve, and the grid search."""
 
-import math
 import warnings
 from datetime import datetime, timezone
 
 import numpy as np
 import pytest
 
+from thermosig import regression
 from thermosig import (
     FrameSeries,
     GridSpec,
@@ -202,6 +202,72 @@ class TestBestBeta:
             assert numerator(beta) <= scan_best * (1.0 + 1e-12) + 1e-12
 
 
+def _weighted_median_beta(c_p, alpha, rows, targets):
+    """Per-cell reference in plain Python: scan the ratios in sorted order
+    until the running weight reaches half the total, then clamp at zero."""
+    pairs = [
+        ((c_p * a1 + alpha * a2 - b) / a3, abs(a3))
+        for (a1, a2, a3), b in zip(rows.tolist(), targets.tolist())
+        if a3 != 0.0
+    ]
+    if not pairs:
+        return 0.0
+    # np.sum, not sum(): the kernel totals the weights pairwise
+    half_weight = 0.5 * float(np.sum([weight for _, weight in pairs]))
+    running = 0.0
+    for ratio, weight in sorted(pairs):
+        running += weight
+        if running >= half_weight:
+            return max(ratio, 0.0)
+
+
+class TestBatching:
+    """The batch size is a memory layout choice that no cell may see."""
+
+    GRID = GridSpec(cells=12, refinement_passes=1)
+
+    @staticmethod
+    def _case(name, rng):
+        system = _random_system(rng, 600)
+        rows, targets = system.rows.copy(), system.targets
+        if name == "zero a3 rows":
+            rows[::5, 2] = 0.0
+        elif name == "negative a3":
+            rows[:, 2] = -np.abs(rows[:, 2])
+        elif name == "duplicated rows":
+            # every ratio appears twice, an exact tie in the sort
+            rows, targets = np.tile(rows[:300], (2, 1)), np.tile(targets[:300], 2)
+        elif name == "all-zero a3":
+            rows[:, 2] = 0.0
+        return _system(rows, targets)
+
+    @pytest.mark.parametrize(
+        "case", ["mixed-sign a3", "zero a3 rows", "negative a3", "duplicated rows", "all-zero a3"]
+    )
+    def test_batch_budget_does_not_change_any_cell(self, case, monkeypatch):
+        system = self._case(case, np.random.default_rng(37))
+        n_cells = self.GRID.cells**2
+        # the default budget splits each pass into more than one batch
+        assert regression._BATCH_ELEMENTS // len(system) < n_cells
+
+        def fit(budget):
+            monkeypatch.setattr(regression, "_BATCH_ELEMENTS", budget)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                return grid_fit(system, grid=self.GRID, collect_surface=True)
+
+        default = fit(regression._BATCH_ELEMENTS)
+        # one cell a batch, then the whole pass in one batch
+        for budget in (1, len(system) * n_cells):
+            batched = fit(budget)
+            assert np.array_equal(batched.surface[:, 2], default.surface[:, 2])
+            assert np.array_equal(batched.surface[:, 3], default.surface[:, 3])
+            assert batched == default
+
+        for c_p, alpha, beta, _ in default.surface[[0, 41, 100, n_cells - 1]]:
+            assert beta == _weighted_median_beta(c_p, alpha, system.rows, system.targets)
+
+
 class TestGridSpec:
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -299,10 +365,13 @@ class TestGridFit:
 
     def test_thread_count_does_not_change_the_result(self):
         rng = np.random.default_rng(29)
-        system = _random_system(rng, 80)
-        # 24^2 = 576 cells spans more than one evaluation batch
+        system = _random_system(rng, 400)
+        # 400 rows give 163 cells a batch, so the 24^2 = 576 cells of a pass
+        # make 4 batches: 3 threads share them unevenly, 8 threads get 4 workers
         grid = GridSpec(cells=24, refinement_passes=1)
-        results = [grid_fit(system, grid=grid, threads=t) for t in (1, 4, 8)]
+        batches = -(-grid.cells**2 // (regression._BATCH_ELEMENTS // len(system)))
+        assert batches >= 3
+        results = [grid_fit(system, grid=grid, threads=t) for t in (1, 3, 8)]
         assert results[0] == results[1] == results[2]
 
     def test_surface_collection(self):

@@ -2,8 +2,6 @@
 and the CSV round trip back through ingestion."""
 
 import math
-import warnings
-from datetime import timedelta
 
 import numpy as np
 import pytest
