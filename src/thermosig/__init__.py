@@ -3,7 +3,6 @@
 from .core import (
     HvacMode,
     LoadSignature,
-    SensorRecord,
     StationConstants,
     Theta,
     theta_is_feasible,
@@ -12,6 +11,7 @@ from .ingest import (
     CsvSchema,
     FrameSeries,
     ModeRule,
+    RecordTable,
     average_channels,
     build_frames,
     classify_mode,
@@ -45,13 +45,13 @@ __version__ = "0.1.0"
 __all__ = [
     "HvacMode",
     "LoadSignature",
-    "SensorRecord",
     "StationConstants",
     "Theta",
     "theta_is_feasible",
     "CsvSchema",
     "FrameSeries",
     "ModeRule",
+    "RecordTable",
     "average_channels",
     "build_frames",
     "classify_mode",

@@ -153,8 +153,8 @@ def _read_theta(path: str) -> Theta:
 def _load_frames(config: RunConfig, dataset: str) -> FrameSeries:
     if not os.path.exists(dataset):
         raise IoError(dataset, "no such file")
-    records = parse_csv(dataset, config.schema)
-    return build_frames(records, config.constants, rule=config.mode_rule, max_gap=config.max_gap)
+    table = parse_csv(dataset, config.schema)
+    return build_frames(table, config.constants, rule=config.mode_rule, max_gap=config.max_gap)
 
 
 def _fit_payload(result: FitResult) -> dict:

@@ -1,6 +1,6 @@
 """Core value types shared by every stage of the pipeline.
 
-All types here are immutable: records, constants and coefficients get
+All types here are immutable: constants, coefficients and signatures get
 passed between ingestion, model evaluation, and fitting code without
 defensive copies.
 """
@@ -8,9 +8,7 @@ defensive copies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import datetime
 from enum import Enum
-from typing import Optional
 
 import numpy as np
 
@@ -54,25 +52,6 @@ class StationConstants:
     def thermal_mass(self) -> float:
         """Energy needed to raise the whole zone by one kelvin (c * m_z)."""
         return self.c * self.m_z
-
-
-@dataclass(frozen=True)
-class SensorRecord:
-    """One raw sample row as parsed from a dataset file.
-
-    Temperature channels hold None where the cell was empty. passengers
-    is populated only on rows that sit on an hour boundary and carries the
-    count for the hour ending at this timestamp.
-    """
-
-    timestamp: datetime
-    indoor: tuple[Optional[float], ...]
-    outdoor: tuple[Optional[float], ...]
-    t_water_in: Optional[float]
-    t_water_out: Optional[float]
-    v_cool_w: Optional[float]
-    e_v: Optional[float]
-    passengers: Optional[float] = None
 
 
 @dataclass(frozen=True)

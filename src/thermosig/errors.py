@@ -48,12 +48,6 @@ class NegativeValue(IngestError):
         super().__init__(f"row {row}, column {column!r}: negative value {value}")
 
 
-class AllChannelsMissing(IngestError):
-    def __init__(self, side: str):
-        self.side = side
-        super().__init__(f"no {side} temperature reading present in record")
-
-
 class EmptyAnchors(IngestError):
     def __init__(self):
         super().__init__("no hourly passenger anchors given")

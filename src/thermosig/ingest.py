@@ -1,10 +1,14 @@
-"""Dataset ingestion: CSV parsing, channel averaging, gap filling,
-passenger interpolation, and per-step mode classification.
+"""Dataset ingestion: CSV reading and writing, channel averaging, gap
+filling, passenger interpolation, and per-step mode classification.
 
 The on-disk format is a UTF-8 comma CSV with a header. Temperature
 channels may repeat (t_in_1..k, t_out_1..m); empty cells mean missing.
 The optional passengers column is populated only on hour-boundary rows
 and carries the count for the hour ending at that timestamp.
+
+A file is read into a RecordTable, one array per column in file order,
+and build_frames turns the table into a FrameSeries on the step grid;
+write_records_csv writes a table back, column by column.
 """
 
 from __future__ import annotations
@@ -13,13 +17,12 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import HvacMode, SensorRecord, StationConstants
+from .core import HvacMode, StationConstants
 from .errors import (
-    AllChannelsMissing,
     BadNumber,
     BadTimestamp,
     EmptyAnchors,
@@ -30,6 +33,10 @@ from .errors import (
     TooShort,
     UnsortedAnchors,
 )
+
+_EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
+_MICROSECOND = timedelta(microseconds=1)
+_HOUR = timedelta(hours=1)
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,52 @@ class ModeRule:
         if self.e_v_idle is not None:
             return self
         return replace(self, e_v_idle=self.e_v_idle_fraction * e_v_max)
+
+
+RECORD_COLUMNS = ("timestamp", "indoor", "outdoor", "t_water_in", "t_water_out", "v_cool_w", "e_v", "passengers")
+
+
+@dataclass(frozen=True, eq=False)
+class RecordTable:
+    """Raw dataset rows in file order, stored as aligned read-only columns.
+
+    timestamp is datetime64[us] in UTC. indoor and outdoor are
+    (rows, channels) float64 arrays with one column per t_in_i / t_out_i
+    in channel-number order; every other column is float64 with one
+    entry a row. NaN marks an empty cell. passengers is set only on rows
+    that sit on an hour boundary and carries the count for the hour
+    ending at that timestamp.
+    """
+
+    timestamp: np.ndarray
+    indoor: np.ndarray
+    outdoor: np.ndarray
+    t_water_in: np.ndarray
+    t_water_out: np.ndarray
+    v_cool_w: np.ndarray
+    e_v: np.ndarray
+    passengers: np.ndarray
+
+    def __post_init__(self):
+        rows = len(self.timestamp)
+        for name in RECORD_COLUMNS:
+            column = np.asarray(getattr(self, name), dtype="datetime64[us]" if name == "timestamp" else float)
+            dims = 2 if name in ("indoor", "outdoor") else 1
+            if column.ndim != dims or len(column) != rows:
+                raise ValueError(f"column {name!r} has shape {column.shape}, expected {rows} rows in {dims} dimensions")
+            column.setflags(write=False)
+            object.__setattr__(self, name, column)
+
+    def __len__(self) -> int:
+        return len(self.timestamp)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, RecordTable):
+            return NotImplemented
+        return np.array_equal(self.timestamp, other.timestamp) and all(
+            np.array_equal(getattr(self, name), getattr(other, name), equal_nan=True)
+            for name in RECORD_COLUMNS[1:]
+        )
 
 
 CHANNELS = ("t_in", "t_out", "n", "t_water_in", "t_water_out", "v_cool_w", "e_v")
@@ -130,33 +183,57 @@ class FrameSeries:
         )
 
     def timestamps(self) -> list[datetime]:
-        return [self.start + timedelta(seconds=i * self.step) for i in range(len(self))]
+        return _grid(self.start, self.step, len(self))
 
 
-def _parse_timestamp(cell: str, row: int) -> datetime:
+def _grid(start: datetime, step: float, count: int) -> list[datetime]:
+    return [start + timedelta(seconds=i * step) for i in range(count)]
+
+
+def _timestamp_micros(cell: str) -> Optional[int]:
+    """Microseconds since the epoch, in UTC, of an ISO 8601 cell; naive
+    times read as UTC. None when the cell is not a timestamp."""
     text = cell.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     try:
         ts = datetime.fromisoformat(text)
     except ValueError:
-        raise BadTimestamp(row, cell) from None
-    if ts.tzinfo is None:
-        return ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
-
-
-def _parse_float(cell: str, row: int, column: str) -> Optional[float]:
-    text = cell.strip()
-    if not text:
         return None
+    if ts.tzinfo is None:
+        ts = ts.replace(tzinfo=timezone.utc)
+    return (ts - _EPOCH) // _MICROSECOND
+
+
+def _utc(micros: int) -> datetime:
+    return _EPOCH + timedelta(microseconds=int(micros))
+
+
+def _utc_stamps(timestamps: Sequence[datetime]) -> np.ndarray:
+    """datetime64[us] UTC column of datetimes; naive ones are local time."""
+    micros = [(ts.astimezone(timezone.utc) - _EPOCH) // _MICROSECOND for ts in timestamps]
+    return np.array(micros, dtype=np.int64).view("datetime64[us]")
+
+
+def _lenient_float(cell: str) -> float:
     try:
-        value = float(text)
+        value = float(cell)
     except ValueError:
-        raise BadNumber(row, column, cell) from None
-    if not math.isfinite(value):
-        raise BadNumber(row, column, cell)
-    return value
+        return math.inf if cell.strip() else math.nan
+    return value if math.isfinite(value) else math.inf
+
+
+def _float_column(cells: tuple[str, ...]) -> np.ndarray:
+    """float(cell) for each cell: NaN where the cell is blank, inf where it
+    holds anything but a finite number."""
+    try:
+        values = np.array([float(cell) if cell else math.nan for cell in cells])
+        # every NaN came from an empty cell, none from a cell reading "nan"
+        if np.count_nonzero(np.isnan(values)) == cells.count(""):
+            return values
+    except ValueError:
+        pass
+    return np.array([_lenient_float(cell) for cell in cells])
 
 
 def _channel_columns(header: list[str], prefix: str) -> list[int]:
@@ -167,12 +244,15 @@ def _channel_columns(header: list[str], prefix: str) -> list[int]:
     return [idx for _, idx in sorted(found)]
 
 
-def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> list[SensorRecord]:
-    """Read one dataset file into sensor records, in file order.
+def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
+    """Read one dataset file into a RecordTable, rows in file order.
 
-    Raises MissingColumn for an incomplete header, BadTimestamp or
-    BadNumber with the offending physical row number, and NegativeValue
-    for counts and meter channels that must be nonnegative.
+    Blank rows are skipped and short rows padded with empty cells.
+    Raises MissingColumn for an incomplete header. Otherwise the first
+    faulty cell in file order raises BadTimestamp, BadNumber, or
+    NegativeValue (for counts and meter channels that must be
+    nonnegative), with its physical row number; within a row the
+    timestamp and the numbers are read before the signs are checked.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -202,107 +282,108 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> list[SensorRecord]:
             positions[name] = header.index(name)
         passenger_col = header.index(schema.passengers) if schema.passengers in header else None
 
-        records = []
+        width = len(header)
+        rows, numbers = [], []
         for row_number, cells in enumerate(reader, start=2):
-            if not cells or all(not cell.strip() for cell in cells):
-                continue
-            if len(cells) < len(header):
-                cells = cells + [""] * (len(header) - len(cells))
+            if "".join(cells).strip():
+                rows.append(cells + [""] * (width - len(cells)) if len(cells) < width else cells)
+                numbers.append(row_number)
 
-            ts = _parse_timestamp(cells[positions[schema.timestamp]], row_number)
-            indoor = tuple(
-                _parse_float(cells[i], row_number, header[i]) for i in indoor_cols
-            )
-            outdoor = tuple(
-                _parse_float(cells[i], row_number, header[i]) for i in outdoor_cols
-            )
-            t_water_in = _parse_float(
-                cells[positions[schema.t_water_in]], row_number, schema.t_water_in
-            )
-            t_water_out = _parse_float(
-                cells[positions[schema.t_water_out]], row_number, schema.t_water_out
-            )
-            v_cool_w = _parse_float(cells[positions[schema.v_cool_w]], row_number, schema.v_cool_w)
-            e_v = _parse_float(cells[positions[schema.e_v]], row_number, schema.e_v)
-            passengers = None
-            if passenger_col is not None:
-                passengers = _parse_float(cells[passenger_col], row_number, schema.passengers)
+    columns = list(zip(*rows)) or [()] * width
+    plant_cols = [positions[name] for name in (schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v)]
+    optional_cols = [] if passenger_col is None else [passenger_col]
+    float_cols = [*indoor_cols, *outdoor_cols, *plant_cols, *optional_cols]
+    nonnegative_cols = [positions[schema.v_cool_w], positions[schema.e_v], *optional_cols]
 
-            for column, value in (
-                (schema.v_cool_w, v_cool_w),
-                (schema.e_v, e_v),
-                (schema.passengers, passengers),
-            ):
-                if value is not None and value < 0:
-                    raise NegativeValue(row_number, column, value)
+    timestamp_col = positions[schema.timestamp]
+    stamps = [_timestamp_micros(cell) for cell in columns[timestamp_col]]
+    values = {col: _float_column(columns[col]) for col in float_cols}
+    faults = np.array([stamp is None for stamp in stamps], dtype=bool)
+    for col in float_cols:
+        faults |= np.isinf(values[col])
+    for col in nonnegative_cols:
+        faults |= values[col] < 0
+    if faults.any():
+        # the first faulty row, checked in reading order: the timestamp,
+        # each number, then the signs of the meters
+        i = int(np.argmax(faults))
+        row, cells = numbers[i], rows[i]
+        if stamps[i] is None:
+            raise BadTimestamp(row, cells[timestamp_col])
+        for col in float_cols:
+            if np.isinf(values[col][i]):
+                raise BadNumber(row, header[col], cells[col])
+        col = next(col for col in nonnegative_cols if values[col][i] < 0)
+        raise NegativeValue(row, header[col], float(values[col][i]))
 
-            records.append(
-                SensorRecord(
-                    timestamp=ts,
-                    indoor=indoor,
-                    outdoor=outdoor,
-                    t_water_in=t_water_in,
-                    t_water_out=t_water_out,
-                    v_cool_w=v_cool_w,
-                    e_v=e_v,
-                    passengers=passengers,
-                )
-            )
-    return records
+    empty = np.full(len(rows), np.nan)
+    water_in, water_out, v_cool_w, e_v = (values[col] for col in plant_cols)
+    return RecordTable(
+        timestamp=np.array(stamps, dtype=np.int64).view("datetime64[us]"),
+        indoor=np.column_stack([values[col] for col in indoor_cols]),
+        outdoor=np.column_stack([values[col] for col in outdoor_cols]),
+        t_water_in=water_in,
+        t_water_out=water_out,
+        v_cool_w=v_cool_w,
+        e_v=e_v,
+        passengers=empty if passenger_col is None else values[passenger_col],
+    )
 
 
-def _format_cell(value: Optional[float]) -> str:
-    return "" if value is None else repr(float(value))
+def _format_column(values: np.ndarray) -> list[str]:
+    return [repr(value) if value == value else "" for value in values.tolist()]
 
 
-def write_records_csv(records: Sequence[SensorRecord], path: str, schema: CsvSchema = CsvSchema()) -> None:
-    """Serialize records back to the dataset format. Inverse of parse_csv."""
-    if not records:
-        raise ValueError("cannot serialize an empty record list")
-    k = len(records[0].indoor)
-    m = len(records[0].outdoor)
-    for record in records:
-        if len(record.indoor) != k or len(record.outdoor) != m:
-            raise ValueError("records disagree on channel counts")
+def write_records_csv(table: RecordTable, path: str, schema: CsvSchema = CsvSchema()) -> None:
+    """Serialize a table back to the dataset format. Inverse of parse_csv."""
+    if not len(table):
+        raise ValueError("cannot serialize an empty record table")
+    k = table.indoor.shape[1]
+    m = table.outdoor.shape[1]
 
     header = [schema.timestamp]
     header += [f"{schema.indoor_prefix}{i}" for i in range(1, k + 1)]
     header += [f"{schema.outdoor_prefix}{i}" for i in range(1, m + 1)]
     header += [schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v, schema.passengers]
 
+    columns = [[ts.isoformat() + "+00:00" for ts in table.timestamp.astype(object)]]
+    columns += [
+        _format_column(values)
+        for values in (
+            *table.indoor.T,
+            *table.outdoor.T,
+            table.t_water_in,
+            table.t_water_out,
+            table.v_cool_w,
+            table.e_v,
+            table.passengers,
+        )
+    ]
     with open(path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
         writer.writerow(header)
-        for record in records:
-            row = [record.timestamp.astimezone(timezone.utc).isoformat()]
-            row += [_format_cell(v) for v in record.indoor]
-            row += [_format_cell(v) for v in record.outdoor]
-            row += [
-                _format_cell(record.t_water_in),
-                _format_cell(record.t_water_out),
-                _format_cell(record.v_cool_w),
-                _format_cell(record.e_v),
-                _format_cell(record.passengers),
-            ]
-            writer.writerow(row)
+        writer.writerows(zip(*columns))
 
 
-def _mean_or_none(values: Iterable[Optional[float]]) -> Optional[float]:
-    present = [v for v in values if v is not None]
-    if not present:
-        return None
-    return math.fsum(present) / len(present)
+def _row_means(block: np.ndarray) -> np.ndarray:
+    present = ~np.isnan(block)
+    count = present.sum(axis=1)
+    total = np.where(present, block, 0.0).sum(axis=1)
+    # plain addition rounds like math.fsum for up to two readings, except
+    # for the sign of a zero sum
+    for row in np.flatnonzero((count > 2) | ((total == 0.0) & (count > 0))):
+        total[row] = math.fsum(block[row, present[row]])
+    with np.errstate(invalid="ignore"):
+        return total / count
 
 
-def average_channels(record: SensorRecord) -> tuple[float, float]:
-    """Collapse redundant sensors to one indoor and one outdoor reading."""
-    t_in = _mean_or_none(record.indoor)
-    if t_in is None:
-        raise AllChannelsMissing("indoor")
-    t_out = _mean_or_none(record.outdoor)
-    if t_out is None:
-        raise AllChannelsMissing("outdoor")
-    return t_in, t_out
+def average_channels(table: RecordTable) -> tuple[np.ndarray, np.ndarray]:
+    """Collapse redundant sensors to one indoor and one outdoor reading a row.
+
+    Each reading is math.fsum(present) / len(present) over the row's
+    nonempty channels, and NaN where the row has none.
+    """
+    return _row_means(table.indoor), _row_means(table.outdoor)
 
 
 def _floor_hour(ts: datetime) -> datetime:
@@ -347,29 +428,31 @@ def interpolate_passengers(
         step = (grid[1] - grid[0]).total_seconds()
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    for prev_ts, next_ts in zip(grid, grid[1:]):
-        if abs((next_ts - prev_ts).total_seconds() - step) > 1e-9:
-            raise ValueError("grid timestamps must be uniformly spaced")
+    # integer microseconds from the floor of grid[0]'s hour, in its own time zone
+    floor = _floor_hour(grid[0])
+    offsets = np.array([(ts - floor) // _MICROSECOND for ts in grid], dtype=np.int64)
+    if (np.abs(np.diff(offsets) / 1e6 - step) > 1e-9).any():
+        raise ValueError("grid timestamps must be uniformly spaced")
 
     anchor_s = np.array([ts.timestamp() for ts, _ in hourly])
     counts = np.array([float(count) for _, count in hourly])
     grid_s = np.array([ts.timestamp() for ts in grid])
     raw = np.interp(grid_s, anchor_s, counts)
 
-    # group steps by the hour boundary that ends their hour
-    buckets: dict[datetime, list[int]] = {}
-    for idx, ts in enumerate(grid):
-        buckets.setdefault(_floor_hour(ts) + timedelta(hours=1), []).append(idx)
+    # a sorted grid puts each hour's steps in one contiguous run
+    hour = offsets // (_HOUR // _MICROSECOND)
+    bounds = np.append(np.flatnonzero(np.diff(hour, prepend=-1)), len(grid))
+    hour_ends = [(floor + _HOUR * (int(h) + 1)).timestamp() for h in hour[bounds[:-1]]]
+    hour_counts = np.interp(hour_ends, anchor_s, counts)
 
     steps_per_hour = 3600.0 / step
     values = np.zeros(len(grid))
-    for bucket_end, indices in buckets.items():
-        hour_count = float(np.interp(bucket_end.timestamp(), anchor_s, counts))
-        target = hour_count * (len(indices) / steps_per_hour)
-        chunk = raw[indices]
+    for lo, hi, hour_count in zip(bounds[:-1].tolist(), bounds[1:].tolist(), hour_counts.tolist()):
+        target = hour_count * ((hi - lo) / steps_per_hour)
+        chunk = raw[lo:hi]
         total = chunk.sum()
         if target == 0.0:
-            result = np.zeros(len(indices))
+            result = np.zeros(hi - lo)
         elif total > 0.0:
             result = chunk * (target / total)
             # nudge the largest value so the fsum lands on the target exactly
@@ -379,9 +462,9 @@ def interpolate_passengers(
                     break
                 result[int(np.argmax(result))] += gap
         else:
-            result = np.full(len(indices), target / len(indices))
-        values[indices] = result
-    return [float(v) for v in values]
+            result = np.full(hi - lo, target / (hi - lo))
+        values[lo:hi] = result
+    return values.tolist()
 
 
 def classify_mode(v_cool_w, t_water_in, t_water_out, e_v, rule: ModeRule = ModeRule()):
@@ -399,27 +482,23 @@ def classify_mode(v_cool_w, t_water_in, t_water_out, e_v, rule: ModeRule = ModeR
     return _MODE_TABLE[water_active.astype(int), vent_active.astype(int)]
 
 
-def _fill_gaps(series: np.ndarray, grid: Sequence[datetime], max_gap: int) -> np.ndarray:
+def _fill_gaps(series: np.ndarray, start: datetime, step: float, max_gap: int) -> np.ndarray:
     """Linearly fill interior NaN runs of at most max_gap steps; hold
     values flat over edge runs. Longer runs are an error."""
     missing = np.isnan(series)
     if not missing.any():
         return series
     if missing.all():
-        raise GapTooLong(grid[0], len(series), max_gap)
+        raise GapTooLong(start, len(series), max_gap)
 
-    idx = 0
-    n = len(series)
-    while idx < n:
-        if not missing[idx]:
-            idx += 1
-            continue
-        run_start = idx
-        while idx < n and missing[idx]:
-            idx += 1
-        run_len = idx - run_start
-        if run_len > max_gap:
-            raise GapTooLong(grid[run_start], run_len, max_gap)
+    # each run opens and closes on a change of the mask: (first, end) pairs
+    runs = np.flatnonzero(np.diff(missing, prepend=False, append=False)).reshape(-1, 2)
+    lengths = runs[:, 1] - runs[:, 0]
+    too_long = np.flatnonzero(lengths > max_gap)
+    if too_long.size:
+        first = too_long[0]
+        at = start + timedelta(seconds=int(runs[first, 0]) * step)
+        raise GapTooLong(at, int(lengths[first]), max_gap)
 
     known = np.flatnonzero(~missing)
     filled = series.copy()
@@ -428,68 +507,59 @@ def _fill_gaps(series: np.ndarray, grid: Sequence[datetime], max_gap: int) -> np
 
 
 def build_frames(
-    records: Sequence[SensorRecord],
+    table: RecordTable,
     constants: StationConstants,
     rule: ModeRule = ModeRule(),
     max_gap: int = 5,
 ) -> FrameSeries:
-    """Turn parsed records into a regular frame series.
+    """Turn a parsed table into a regular frame series.
 
-    Records are sorted onto the step grid anchored at the earliest
-    timestamp; missing rows become per-channel gaps. Gaps of at most
-    max_gap steps are filled (linear inside, nearest at the edges);
-    longer ones raise GapTooLong. Passenger counts come from the hourly
-    anchors present in the records, or zero when there are none.
+    Rows are sorted onto the step grid anchored at the earliest
+    timestamp; missing rows become per-channel gaps, and so do rows
+    with no indoor or no outdoor reading. Gaps of at most max_gap steps
+    are filled (linear inside, nearest at the edges); longer ones raise
+    GapTooLong. Passenger counts come from the hourly anchors present in
+    the table, or zero when there are none.
     """
-    if len(records) < 2:
-        raise TooShort(len(records))
-    ordered = sorted(records, key=lambda record: record.timestamp)
-    start = ordered[0].timestamp
+    if len(table) < 2:
+        raise TooShort(len(table))
+    order = np.argsort(table.timestamp, kind="stable")
+    micros = table.timestamp[order].astype(np.int64)
     step = constants.step
 
-    slots: dict[int, SensorRecord] = {}
-    for record in ordered:
-        offset = (record.timestamp - start).total_seconds() / step
-        slot = round(offset)
-        if abs(offset - slot) > 1e-9:
-            raise MisalignedTimestamp(record.timestamp)
-        if slot in slots:
-            raise MisalignedTimestamp(record.timestamp)
-        slots[slot] = record
+    # (ts - start).total_seconds() / step: integer microseconds divided once by 1e6
+    offset = (micros - micros[0]) / 1e6 / step
+    slot = np.rint(offset)
+    # sorted offsets round to nondecreasing slots, so a taken slot is the previous row's
+    faulty = np.abs(offset - slot) > 1e-9
+    faulty[1:] |= slot[1:] == slot[:-1]
+    if faulty.any():
+        raise MisalignedTimestamp(_utc(micros[np.argmax(faulty)]))
+    slot = slot.astype(np.intp)
+    n_steps = int(slot[-1]) + 1
+    start = _utc(micros[0])
 
-    n_steps = max(slots) + 1
-    if n_steps < 2:
-        raise TooShort(n_steps)
-    grid = [start + timedelta(seconds=i * step) for i in range(n_steps)]
+    t_in, t_out = average_channels(table)
+    channels = {}
+    for name, values in (
+        ("t_in", t_in),
+        ("t_out", t_out),
+        ("t_water_in", table.t_water_in),
+        ("t_water_out", table.t_water_out),
+        ("v_cool_w", table.v_cool_w),
+        ("e_v", table.e_v),
+    ):
+        column = np.full(n_steps, np.nan)
+        column[slot] = values[order]
+        channels[name] = _fill_gaps(column, start, step, max_gap)
 
-    channels = {
-        name: np.full(n_steps, np.nan)
-        for name in ("t_in", "t_out", "t_water_in", "t_water_out", "v_cool_w", "e_v")
-    }
-    anchors: list[tuple[datetime, float]] = []
-    for slot, record in slots.items():
-        t_in = _mean_or_none(record.indoor)
-        t_out = _mean_or_none(record.outdoor)
-        for name, value in (
-            ("t_in", t_in),
-            ("t_out", t_out),
-            ("t_water_in", record.t_water_in),
-            ("t_water_out", record.t_water_out),
-            ("v_cool_w", record.v_cool_w),
-            ("e_v", record.e_v),
-        ):
-            if value is not None:
-                channels[name][slot] = value
-        if record.passengers is not None:
-            anchors.append((record.timestamp, record.passengers))
-
-    for name in channels:
-        channels[name] = _fill_gaps(channels[name], grid, max_gap)
-
-    if anchors:
-        n_per_step = interpolate_passengers(anchors, grid, step=step)
+    passengers = table.passengers[order]
+    anchored = ~np.isnan(passengers)
+    if anchored.any():
+        anchors = [(_utc(us), count) for us, count in zip(micros[anchored].tolist(), passengers[anchored].tolist())]
+        n_per_step = interpolate_passengers(anchors, _grid(start, step, n_steps), step=step)
     else:
-        n_per_step = [0.0] * n_steps
+        n_per_step = np.zeros(n_steps)
 
     resolved = rule.resolve(float(channels["e_v"].max()))
     mode = classify_mode(

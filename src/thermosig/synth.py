@@ -25,12 +25,14 @@ from typing import Optional
 
 import numpy as np
 
-from .core import SensorRecord, StationConstants, Theta
+from .core import StationConstants, Theta
 from .errors import DivergedState, EmptySystem
 from .ingest import (
     CsvSchema,
     FrameSeries,
     ModeRule,
+    RecordTable,
+    _utc_stamps,
     classify_mode,
     interpolate_passengers,
     write_records_csv,
@@ -383,13 +385,19 @@ def emit_csv(
 ) -> None:
     """Write the series in the dataset CSV layout, one indoor and one
     outdoor channel, with passenger counts on their anchor rows."""
+    timestamps = series.timestamps()
     anchor_by_ts = dict(anchors)
-    columns = (series.t_in, series.t_out, series.t_water_in, series.t_water_out, series.v_cool_w, series.e_v)
-    records = [
-        SensorRecord(ts, (t_in,), (t_out,), *plant, passengers=anchor_by_ts.get(ts))
-        for ts, t_in, t_out, *plant in zip(series.timestamps(), *(column.tolist() for column in columns))
-    ]
-    write_records_csv(records, path, schema)
+    table = RecordTable(
+        timestamp=_utc_stamps(timestamps),
+        indoor=series.t_in[:, None],
+        outdoor=series.t_out[:, None],
+        t_water_in=series.t_water_in,
+        t_water_out=series.t_water_out,
+        v_cool_w=series.v_cool_w,
+        e_v=series.e_v,
+        passengers=[anchor_by_ts.get(ts, math.nan) for ts in timestamps],
+    )
+    write_records_csv(table, path, schema)
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:

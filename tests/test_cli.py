@@ -253,3 +253,22 @@ class TestBenchmarkContract:
     def test_grid_fit_keeps_its_traced_parameters(self):
         parameters = inspect.signature(thermosig.cli.grid_fit).parameters
         assert {"system", "grid", "use_integrated"} <= set(parameters)
+
+    def test_parse_csv_length_counts_data_rows(self, tmp_path):
+        path = tmp_path / "rows.csv"
+        path.write_text(
+            "timestamp,t_in_1,t_out_1,t_water_in,t_water_out,v_cool_w,e_v\n"
+            "2021-06-01T00:00:00Z,27,33,12,7,0.4,0\n"
+            "\n"
+            ",,,,,,\n"
+            "2021-06-01T00:01:00Z,27,33,12,7,0.4\n",
+            encoding="utf-8",
+        )
+        assert len(thermosig.cli.parse_csv(str(path))) == 2
+
+    def test_build_frames_takes_the_parsed_table(self, day_run):
+        config = thermosig.cli.load_config(day_run.config)
+        table = thermosig.cli.parse_csv(day_run.dataset, config.schema)
+        series = thermosig.cli.build_frames(table, config.constants, rule=config.mode_rule, max_gap=config.max_gap)
+        assert isinstance(series, thermosig.cli.FrameSeries)
+        assert len(table) == len(series) == 1441

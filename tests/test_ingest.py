@@ -10,7 +10,7 @@ import pytest
 from thermosig import (
     HvacMode,
     ModeRule,
-    SensorRecord,
+    RecordTable,
     StationConstants,
     average_channels,
     build_frames,
@@ -20,7 +20,6 @@ from thermosig import (
     write_records_csv,
 )
 from thermosig.errors import (
-    AllChannelsMissing,
     BadNumber,
     BadTimestamp,
     EmptyAnchors,
@@ -31,7 +30,7 @@ from thermosig.errors import (
     TooShort,
     UnsortedAnchors,
 )
-from thermosig.ingest import CHANNELS, FrameSeries
+from thermosig.ingest import CHANNELS, FrameSeries, _floor_hour
 
 T0 = datetime(2021, 6, 1, 9, 0, tzinfo=timezone.utc)
 CONSTANTS = StationConstants(step=60.0)
@@ -46,16 +45,27 @@ def _grid(count: int, start: datetime = T0, step_minutes: float = 1.0):
 
 
 def _record(minutes: float, t_in=27.0, t_out=33.0, t_water_in=12.0,
-            t_water_out=7.0, v_cool_w=0.4, e_v=0.0, passengers=None):
-    return SensorRecord(
-        timestamp=_ts(minutes),
-        indoor=(t_in,) if not isinstance(t_in, tuple) else t_in,
-        outdoor=(t_out,) if not isinstance(t_out, tuple) else t_out,
-        t_water_in=t_water_in,
-        t_water_out=t_water_out,
-        v_cool_w=v_cool_w,
-        e_v=e_v,
-        passengers=passengers,
+            t_water_out=7.0, v_cool_w=0.4, e_v=0.0, passengers=None) -> dict:
+    """One table row; None marks an empty cell, a tuple several channels."""
+    return {
+        "timestamp": np.datetime64(T0.replace(tzinfo=None), "us") + np.timedelta64(round(minutes * 60e6), "us"),
+        "indoor": t_in if isinstance(t_in, tuple) else (t_in,),
+        "outdoor": t_out if isinstance(t_out, tuple) else (t_out,),
+        "t_water_in": t_water_in,
+        "t_water_out": t_water_out,
+        "v_cool_w": v_cool_w,
+        "e_v": e_v,
+        "passengers": passengers,
+    }
+
+
+def _table(records: list[dict]) -> RecordTable:
+    """A RecordTable holding the given _record rows in order."""
+    def column(name):
+        return np.array([row[name] for row in records], dtype=float)
+    return RecordTable(
+        timestamp=[row["timestamp"] for row in records],
+        **{name: column(name) for name in ("indoor", "outdoor", "t_water_in", "t_water_out", "v_cool_w", "e_v", "passengers")},
     )
 
 
@@ -73,20 +83,24 @@ class TestParseCsv:
             "2021-06-01T09:00:00Z,27.0,27.4,33.0,12.0,7.0,0.4,0.0,\n"
             "2021-06-01T09:01:00+00:00,27.1,,33.1,12.0,7.0,0.4,125.0,60\n",
         )
-        records = parse_csv(path)
-        assert len(records) == 2
-        first, second = records
-        assert first.timestamp == datetime(2021, 6, 1, 9, 0, tzinfo=timezone.utc)
-        assert first.indoor == (27.0, 27.4)
-        assert first.outdoor == (33.0,)
-        assert first.passengers is None
-        assert second.indoor == (27.1, None)
-        assert second.e_v == 125.0
-        assert second.passengers == 60.0
+        table = parse_csv(path)
+        assert len(table) == 2
+        assert table.timestamp.tolist() == [datetime(2021, 6, 1, 9, 0), datetime(2021, 6, 1, 9, 1)]
+        assert table.indoor.shape == (2, 2)
+        assert table.indoor[0].tolist() == [27.0, 27.4]
+        assert table.outdoor[:, 0].tolist() == [33.0, 33.1]
+        assert math.isnan(table.passengers[0])
+        assert table.indoor[1, 0] == 27.1 and math.isnan(table.indoor[1, 1])
+        assert table.e_v[1] == 125.0
+        assert table.passengers[1] == 60.0
 
     def test_naive_timestamps_read_as_utc(self, tmp_path):
-        path = self._write(tmp_path, "2021-06-01T09:00:00,27,27,33,12,7,0.4,0,\n")
-        assert parse_csv(path)[0].timestamp.tzinfo == timezone.utc
+        path = self._write(
+            tmp_path,
+            "2021-06-01T09:00:00,27,27,33,12,7,0.4,0,\n"
+            "2021-06-01T11:01:00+02:00,27,27,33,12,7,0.4,0,\n",
+        )
+        assert parse_csv(path).timestamp.tolist() == [datetime(2021, 6, 1, 9, 0), datetime(2021, 6, 1, 9, 1)]
 
     def test_blank_lines_skipped(self, tmp_path):
         path = self._write(
@@ -145,41 +159,129 @@ class TestParseCsv:
 
     def test_negative_temperatures_allowed(self, tmp_path):
         path = self._write(tmp_path, "2021-06-01T09:00:00Z,-5,27,-12,12,7,0.4,0,\n")
-        record = parse_csv(path)[0]
-        assert record.indoor[0] == -5.0
-        assert record.outdoor[0] == -12.0
+        table = parse_csv(path)
+        assert table.indoor[0, 0] == -5.0
+        assert table.outdoor[0, 0] == -12.0
+
+    @pytest.mark.parametrize("body,error,row,column", [
+        # a fault on an earlier row wins over any fault on a later one
+        ("2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n"
+         "2021-06-01T09:01:00Z,27,27,33,12,7,0.4,-1,\n"
+         "not-a-time,27,27,33,12,7,0.4,0,\n", NegativeValue, 3, "e_v"),
+        ("2021-06-01T09:00:00Z,27,27,33,12,7,oops,0,\n"
+         "2021-06-01T09:01:00Z,bad,27,33,12,7,0.4,0,\n", BadNumber, 2, "v_cool_w"),
+        # within a row: the timestamp, the numbers in column order, then the signs
+        ("2021-06-01T09:00:00Z,27,bad,33,12,7,oops,0,\n", BadNumber, 2, "t_in_2"),
+        ("yesterday,27,bad,33,12,7,0.4,0,\n", BadTimestamp, 2, None),
+        ("2021-06-01T09:00:00Z,27,27,33,12,7,-0.4,oops,\n", BadNumber, 2, "e_v"),
+        ("2021-06-01T09:00:00Z,27,27,33,12,7,-0.4,-1,-5\n", NegativeValue, 2, "v_cool_w"),
+        # an empty cell is missing, a nan cell is bad
+        ("2021-06-01T09:00:00Z,27,,33,nan,7,0.4,0,\n", BadNumber, 2, "t_water_in"),
+        ("2021-06-01T09:00:00Z,nan,27,33,,7,0.4,0,\n", BadNumber, 2, "t_in_1"),
+    ], ids=["negative-row-before-bad-timestamp", "row-beats-column", "indoor-before-v_cool_w",
+            "timestamp-first", "numbers-before-signs", "signs-in-order", "nan-after-empty", "nan-before-empty"])
+    def test_first_fault_in_file_order_wins(self, tmp_path, body, error, row, column):
+        with pytest.raises(error) as err:
+            parse_csv(self._write(tmp_path, body))
+        assert err.value.row == row
+        assert getattr(err.value, "column", None) == column
 
 
 class TestWriteRoundTrip:
     def test_parse_write_parse_is_identity(self, tmp_path):
-        records = [
+        table = _table([
             _record(0.0, t_in=(27.0, None), passengers=None),
             _record(1.0, t_in=(27.123456789012345, 26.9), e_v=125.0, passengers=60.0),
             _record(2.0, t_in=(None, 26.5), t_water_in=None, v_cool_w=0.0),
-        ]
+        ])
         path = str(tmp_path / "out.csv")
-        write_records_csv(records, path)
-        assert parse_csv(path) == records
+        write_records_csv(table, path)
+        assert parse_csv(path) == table
+
+    def test_timestamps_written_as_isoformat(self, tmp_path):
+        stamps = [_ts(0), _ts(1) + timedelta(microseconds=1), _ts(2) + timedelta(seconds=0.5)]
+        table = _table([_record(0), _record(1), _record(2)])
+        table = RecordTable(**{**vars(table), "timestamp": [ts.replace(tzinfo=None) for ts in stamps]})
+        path = tmp_path / "out.csv"
+        write_records_csv(table, str(path))
+        cells = [line.split(",")[0] for line in path.read_text().splitlines()[1:]]
+        assert cells == [ts.isoformat() for ts in stamps]
+        assert parse_csv(str(path)) == table
 
     def test_empty_list_rejected(self, tmp_path):
+        empty = _table([_record(0)])
+        empty = RecordTable(**{name: column[:0] for name, column in vars(empty).items()})
         with pytest.raises(ValueError):
-            write_records_csv([], str(tmp_path / "out.csv"))
+            write_records_csv(empty, str(tmp_path / "out.csv"))
 
-    def test_ragged_channels_rejected(self, tmp_path):
-        records = [_record(0.0), _record(1.0, t_in=(27.0, 28.0))]
-        with pytest.raises(ValueError, match="channel counts"):
-            write_records_csv(records, str(tmp_path / "out.csv"))
+
+class TestRecordTable:
+    def test_equality_treats_empty_cells_alike(self):
+        assert _table([_record(0, t_in=None)]) == _table([_record(0, t_in=None)])
+        assert _table([_record(0, t_in=None)]) != _table([_record(0, t_in=27.0)])
+        assert _table([_record(0)]) != _table([_record(1)])
+
+    def test_columns_must_share_the_row_count(self):
+        columns = vars(_table([_record(0), _record(1)]))
+        with pytest.raises(ValueError, match="'e_v'"):
+            RecordTable(**{**columns, "e_v": columns["e_v"][:1]})
+        with pytest.raises(ValueError, match="'indoor'"):
+            RecordTable(**{**columns, "indoor": columns["indoor"][:, 0]})
 
 
 class TestAverageChannels:
     def test_means_ignore_missing(self):
-        record = _record(0.0, t_in=(26.0, None, 28.0), t_out=(33.0,))
-        assert average_channels(record) == (27.0, 33.0)
+        t_in, t_out = average_channels(_table([_record(0.0, t_in=(26.0, None, 28.0), t_out=(33.0,))]))
+        assert (t_in.tolist(), t_out.tolist()) == ([27.0], [33.0])
 
-    def test_all_indoor_missing(self):
-        with pytest.raises(AllChannelsMissing) as err:
-            average_channels(_record(0.0, t_in=(None, None)))
-        assert err.value.side == "indoor"
+    def test_means_match_fsum_bit_for_bit(self):
+        rows = [(0.1, 0.2, 0.3), (0.1, None, 0.3), (None, 0.7, None), (0.3, 0.6, None),
+                (1e16, 1.0, -1e16), (-0.0, None, None), (0.1, 0.2, 0.3)]
+        t_in, _ = average_channels(_table([_record(i, t_in=row) for i, row in enumerate(rows)]))
+        # the fsum mean of three channels is not what plain addition gives
+        assert t_in[0] == 0.19999999999999998 != (0.1 + 0.2 + 0.3) / 3
+        for mean, row in zip(t_in.tolist(), rows):
+            present = [value for value in row if value is not None]
+            assert mean.hex() == (math.fsum(present) / len(present)).hex()
+        # a zero sum with no empty cell added in keeps math.fsum's sign
+        t_in, t_out = average_channels(_table([_record(0, t_in=(-0.0, -0.0), t_out=-0.0)]))
+        assert (t_in[0].hex(), t_out[0].hex()) == ((math.fsum([-0.0, -0.0]) / 2).hex(), math.fsum([-0.0]).hex())
+
+    def test_row_without_indoor_reading_is_a_gap(self):
+        records = [_record(0, t_in=(30.0, 30.0)), _record(1, t_in=(None, None)), _record(2, t_in=(32.0, None))]
+        t_in, t_out = average_channels(_table(records))
+        assert math.isnan(t_in[1]) and t_out[1] == 33.0
+        assert build_frames(_table(records), CONSTANTS).t_in.tolist() == [30.0, 31.0, 32.0]
+
+
+def _reference_interpolation(hourly, grid, step):
+    """interpolate_passengers written plainly: group the steps by
+    _floor_hour(ts) + 1h, the boundary that ends their hour."""
+    anchor_s = np.array([ts.timestamp() for ts, _ in hourly])
+    counts = np.array([float(count) for _, count in hourly])
+    raw = np.interp(np.array([ts.timestamp() for ts in grid]), anchor_s, counts)
+    buckets = {}
+    for idx, ts in enumerate(grid):
+        buckets.setdefault(_floor_hour(ts) + timedelta(hours=1), []).append(idx)
+    values = np.zeros(len(grid))
+    for bucket_end, indices in buckets.items():
+        hour_count = float(np.interp(bucket_end.timestamp(), anchor_s, counts))
+        target = hour_count * (len(indices) / (3600.0 / step))
+        chunk = raw[indices]
+        total = chunk.sum()
+        if target == 0.0:
+            result = np.zeros(len(indices))
+        elif total > 0.0:
+            result = chunk * (target / total)
+            for _ in range(4):
+                gap = target - math.fsum(result.tolist())
+                if gap == 0.0:
+                    break
+                result[int(np.argmax(result))] += gap
+        else:
+            result = np.full(len(indices), target / len(indices))
+        values[indices] = result
+    return [float(v) for v in values]
 
 
 class TestInterpolatePassengers:
@@ -229,6 +331,23 @@ class TestInterpolatePassengers:
             values = interpolate_passengers(anchors, _grid(360))
             for hour, count in enumerate(counts):
                 assert math.fsum(values[hour * 60:(hour + 1) * 60]) == float(count)
+
+    @pytest.mark.parametrize("start,step,count", [
+        (T0 + timedelta(minutes=17, seconds=30), 60.0, 400),
+        (datetime(2021, 6, 1, 9, 10, tzinfo=timezone(timedelta(hours=5, minutes=30))), 60.0, 400),
+        (datetime(2021, 6, 1, 9, 10), 60.0, 400),
+        (T0 + timedelta(minutes=17), 120.0, 250),
+    ], ids=["mid-hour", "plus-0530", "naive", "step-120"])
+    def test_matches_the_per_hour_reference(self, start, step, count):
+        rng = np.random.default_rng(5)
+        grid = [start + timedelta(seconds=i * step) for i in range(count)]
+        # anchors on grid[0]'s own hour boundaries, some hours silent
+        first = _floor_hour(start) + timedelta(hours=1)
+        anchors = [(first + timedelta(hours=h), float(rng.integers(0, 3) * rng.integers(0, 900)))
+                   for h in range(int(count * step // 3600) + 1)]
+        values = interpolate_passengers(anchors, grid, step=step)
+        assert values == _reference_interpolation(anchors, grid, step)
+        assert interpolate_passengers(anchors, grid) == values
 
     def test_empty_anchor_list_rejected(self):
         with pytest.raises(EmptyAnchors):
@@ -294,51 +413,64 @@ class TestBuildFrames:
             _record(3, t_in=None),
             _record(4, t_in=34.0),
         ]
-        series = build_frames(records, CONSTANTS)
+        series = build_frames(_table(records), CONSTANTS)
         assert series.t_in.tolist() == [30.0, 31.0, 32.0, 33.0, 34.0]
         assert series.delta.tolist() == [1.0, 1.0, 1.0, 1.0]
 
     def test_missing_rows_become_gaps(self):
         # the minute-2 row is absent entirely; every channel interpolates
         records = [_record(0, t_in=30.0), _record(1, t_in=31.0), _record(3, t_in=33.0)]
-        series = build_frames(records, CONSTANTS)
+        series = build_frames(_table(records), CONSTANTS)
         assert len(series) == 4
         assert series.t_in[2] == 32.0
 
     def test_edge_gap_holds_nearest_value(self):
         records = [_record(0, t_in=None), _record(1, t_in=28.0), _record(2, t_in=29.0)]
-        series = build_frames(records, CONSTANTS)
+        series = build_frames(_table(records), CONSTANTS)
         assert series.t_in[0] == 28.0
 
     def test_gap_longer_than_limit_raises(self):
         records = [_record(0, t_in=30.0), _record(7, t_in=31.0)]
         with pytest.raises(GapTooLong) as err:
-            build_frames(records, CONSTANTS, max_gap=5)
+            build_frames(_table(records), CONSTANTS, max_gap=5)
         assert err.value.length == 6
         assert err.value.at == _ts(1)
 
+    def test_first_overlong_run_is_reported(self):
+        missing = {2, 3, *range(6, 13), *range(15, 24)}
+        records = [_record(m, t_in=None if m in missing else 30.0) for m in range(26)]
+        with pytest.raises(GapTooLong) as err:
+            build_frames(_table(records), CONSTANTS, max_gap=5)
+        assert (err.value.at, err.value.length) == (_ts(6), 7)
+
+    def test_overlong_edge_run_is_reported(self):
+        records = [_record(m, t_out=None if m < 6 else 33.0) for m in range(9)]
+        with pytest.raises(GapTooLong) as err:
+            build_frames(_table(records), CONSTANTS, max_gap=5)
+        assert (err.value.at, err.value.length) == (_ts(0), 6)
+
     def test_longer_limit_accepts_the_same_gap(self):
         records = [_record(0, t_in=30.0), _record(7, t_in=31.0)]
-        series = build_frames(records, CONSTANTS, max_gap=6)
+        series = build_frames(_table(records), CONSTANTS, max_gap=6)
         assert len(series) == 8
 
     def test_too_few_records(self):
         with pytest.raises(TooShort):
-            build_frames([_record(0)], CONSTANTS)
+            build_frames(_table([_record(0)]), CONSTANTS)
 
     def test_off_grid_timestamp_rejected(self):
         records = [_record(0), _record(0.5)]
         with pytest.raises(MisalignedTimestamp):
-            build_frames(records, CONSTANTS)
+            build_frames(_table(records), CONSTANTS)
 
     def test_duplicate_timestamp_rejected(self):
         records = [_record(0), _record(1), _record(1)]
         with pytest.raises(MisalignedTimestamp):
-            build_frames(records, CONSTANTS)
+            build_frames(_table(records), CONSTANTS)
 
     def test_unordered_records_are_sorted_onto_the_grid(self):
         records = [_record(2, t_in=29.0), _record(0, t_in=27.0), _record(1, t_in=28.0)]
-        series = build_frames(records, CONSTANTS)
+        series = build_frames(_table(records), CONSTANTS)
         assert series.start == _ts(0)
         assert series.t_in.tolist() == [27.0, 28.0, 29.0]
 
@@ -349,33 +481,33 @@ class TestBuildFrames:
             _record(1, v_cool_w=0.0, t_water_in=7.0, e_v=4.9),
             _record(2, v_cool_w=0.0, t_water_in=7.0, e_v=6.0),
         ]
-        series = build_frames(records, CONSTANTS)
+        series = build_frames(_table(records), CONSTANTS)
         assert series.mode.tolist() == [HvacMode.NEW_AIR, HvacMode.OFF, HvacMode.NEW_AIR]
 
     def test_passenger_anchors_drive_per_step_counts(self):
         records = [_record(float(m)) for m in range(61)]
         records[60] = _record(60.0, passengers=60.0)
-        series = build_frames(records, CONSTANTS)
+        series = build_frames(_table(records), CONSTANTS)
         counts = series.n.tolist()
         assert math.fsum(counts[:60]) == 60.0
 
     def test_no_anchors_means_empty_station(self):
-        series = build_frames([_record(0), _record(1)], CONSTANTS)
+        series = build_frames(_table([_record(0), _record(1)]), CONSTANTS)
         assert series.n.tolist() == [0.0, 0.0]
 
 
 class TestFrameSeries:
     def test_timestamps_follow_the_grid(self):
-        series = build_frames([_record(0), _record(1), _record(2)], CONSTANTS)
+        series = build_frames(_table([_record(0), _record(1), _record(2)]), CONSTANTS)
         assert series.timestamps() == [_ts(0), _ts(1), _ts(2)]
 
     def test_columns_are_read_only(self):
-        series = build_frames([_record(0), _record(1)], CONSTANTS)
+        series = build_frames(_table([_record(0), _record(1)]), CONSTANTS)
         with pytest.raises(ValueError):
             series.t_in[0] = 0.0
 
     def test_channel_lengths_must_agree(self):
-        good = build_frames([_record(0), _record(1)], CONSTANTS)
+        good = build_frames(_table([_record(0), _record(1)]), CONSTANTS)
         columns = {name: getattr(good, name) for name in (*CHANNELS, "mode")}
         columns["e_v"] = columns["e_v"][:1]
         with pytest.raises(ValueError, match="'e_v'"):
