@@ -18,7 +18,7 @@ import os
 import sys
 from dataclasses import asdict, dataclass
 from datetime import timezone
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import HvacMode, LoadSignature, StationConstants, Theta
 from .errors import (
@@ -28,7 +28,7 @@ from .errors import (
     RegressionError,
     ThermosigError,
 )
-from .ingest import CsvSchema, FrameSeries, ModeRule, build_frames, parse_csv
+from .ingest import CsvSchema, FrameSeries, ModeRule, build_frames, isoformat_utc, parse_csv
 from .models import balance_target, load, supply
 from .regression import FitResult, GridSpec, assemble, grid_fit, integrate, objective
 from .synth import Scenario, emit_csv, scenario_from_dict, simulate
@@ -37,6 +37,10 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
+
+# signature.csv rows formatted and written at a time: enough to amortize a
+# write, few enough that the block's strings stay a small share of memory
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -117,9 +121,13 @@ def _thread_count() -> int:
 
 
 def _write_text(path: str, text: str) -> None:
+    _write_chunks(path, (text,))
+
+
+def _write_chunks(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
     except OSError as exc:
         raise IoError(path, str(exc)) from None
 
@@ -249,12 +257,7 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
         pass
 
     _ensure_out_dir(out_dir)
-    lines = ["timestamp,mode,l_total,l_passenger,l_environment,supply,residual"]
-    for ts, mode, *values in zip(series.timestamps()[:-1], series.mode.tolist(), *columns):
-        lines.append(
-            f"{ts.astimezone(timezone.utc).isoformat()},{mode.value},{','.join(map(repr, values))}"
-        )
-    _write_text(os.path.join(out_dir, "signature.csv"), "\n".join(lines) + "\n")
+    _write_chunks(os.path.join(out_dir, "signature.csv"), _signature_blocks(series, columns))
 
     # builtin sum over Python floats in frame order, not the pairwise np.sum
     sums = dict(zip(("l_total", "l_passenger", "l_environment", "supply"), map(sum, columns)))
@@ -275,6 +278,23 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
         },
     )
     print(f"wrote signature.csv ({len(series) - 1} frames) and summary.json")
+
+
+def _signature_blocks(series: FrameSeries, columns: list[list[float]]) -> Iterable[str]:
+    """signature.csv text, header first, then _BLOCK_ROWS rows at a time,
+    each formatted column by column: isoformat stamps, mode values, and
+    repr of each float."""
+    yield "timestamp,mode,l_total,l_passenger,l_environment,supply,residual\n"
+    micros = series.micros
+    mode_value = {mode: mode.value for mode in HvacMode}
+    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
+        hi = min(lo + _BLOCK_ROWS, len(columns[0]))
+        block = [
+            isoformat_utc(micros[lo:hi]),
+            list(map(mode_value.__getitem__, series.mode[lo:hi])),
+            *(list(map(repr, column[lo:hi])) for column in columns),
+        ]
+        yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
 def _coefficient_errors(estimate: Theta, truth: Theta) -> dict:

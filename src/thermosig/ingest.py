@@ -9,6 +9,13 @@ and carries the count for the hour ending at that timestamp.
 A file is read into a RecordTable, one array per column in file order,
 and build_frames turns the table into a FrameSeries on the step grid;
 write_records_csv writes a table back, column by column.
+
+Time is kept as int64 microseconds since the epoch, in UTC. A series
+stores only its start and step, and time_axis derives every frame's
+instant from them. isoformat_utc formats a whole column of instants at
+once: write_records_csv uses it for dataset.csv, and the signature
+command for signature.csv, which it writes in fixed blocks of rows. No
+per-frame datetime is built on the way from a CSV to an artifact.
 """
 
 from __future__ import annotations
@@ -36,7 +43,8 @@ from .errors import (
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
-_HOUR = timedelta(hours=1)
+_US_PER_S = 1_000_000
+_US_PER_HOUR = 3600 * _US_PER_S
 
 
 @dataclass(frozen=True)
@@ -131,7 +139,8 @@ _MODE_TABLE = np.array(
 class FrameSeries:
     """Frames on a regular grid, stored as aligned read-only columns.
 
-    Frame i sits at start + i * step seconds. Each channel in CHANNELS is
+    Frame i sits at start + i * step seconds of absolute time; micros
+    holds those instants. Each channel in CHANNELS is
     a float64 array with one entry per frame, and mode holds the frame's
     HvacMode. delta, the indoor temperature change to the next frame, is
     derived: it has one entry fewer than the series, since the final
@@ -182,12 +191,40 @@ class FrameSeries:
             np.array_equal(getattr(self, name), getattr(other, name)) for name in (*CHANNELS, "mode")
         )
 
+    @property
+    def micros(self) -> np.ndarray:
+        """The UTC instant of each frame, int64 microseconds since the epoch."""
+        return time_axis(self.start, self.step, len(self))
+
     def timestamps(self) -> list[datetime]:
-        return _grid(self.start, self.step, len(self))
+        """The frame instants as aware datetimes in the start's time zone
+        (local time for a naive start), built on demand."""
+        return [_utc(us).astimezone(self.start.tzinfo) for us in self.micros.tolist()]
 
 
-def _grid(start: datetime, step: float, count: int) -> list[datetime]:
-    return [start + timedelta(seconds=i * step) for i in range(count)]
+def _micros(ts: datetime) -> int:
+    """Microseconds since the epoch of ts; a naive ts is local time, as in
+    datetime.astimezone."""
+    return ((ts if ts.tzinfo else ts.astimezone()) - _EPOCH) // _MICROSECOND
+
+
+def time_axis(start: datetime, step: float, count: int) -> np.ndarray:
+    """int64 microseconds since the epoch of start + i * step seconds,
+    i < count: the offset of frame i rounds as timedelta(seconds=i * step)
+    does, whole seconds kept apart from the half-even rounded fraction."""
+    frac, whole = np.modf(np.arange(count) * step)
+    return _micros(start) + whole.astype(np.int64) * _US_PER_S + np.rint(frac * 1e6).astype(np.int64)
+
+
+def isoformat_utc(micros: np.ndarray) -> list[str]:
+    """datetime.isoformat() of each UTC instant, int64 microseconds since
+    the epoch: a +00:00 suffix, and the fraction only where it is nonzero."""
+    stamps = np.asarray(micros, dtype=np.int64).view("datetime64[us]")
+    text = np.datetime_as_string(stamps, unit="s").astype(object)
+    fractional = np.flatnonzero(stamps.view(np.int64) % _US_PER_S)
+    if fractional.size:
+        text[fractional] = np.datetime_as_string(stamps[fractional], unit="us")
+    return (text + "+00:00").tolist()
 
 
 def _timestamp_micros(cell: str) -> Optional[int]:
@@ -207,12 +244,6 @@ def _timestamp_micros(cell: str) -> Optional[int]:
 
 def _utc(micros: int) -> datetime:
     return _EPOCH + timedelta(microseconds=int(micros))
-
-
-def _utc_stamps(timestamps: Sequence[datetime]) -> np.ndarray:
-    """datetime64[us] UTC column of datetimes; naive ones are local time."""
-    micros = [(ts.astimezone(timezone.utc) - _EPOCH) // _MICROSECOND for ts in timestamps]
-    return np.array(micros, dtype=np.int64).view("datetime64[us]")
 
 
 def _lenient_float(cell: str) -> float:
@@ -346,7 +377,7 @@ def write_records_csv(table: RecordTable, path: str, schema: CsvSchema = CsvSche
     header += [f"{schema.outdoor_prefix}{i}" for i in range(1, m + 1)]
     header += [schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v, schema.passengers]
 
-    columns = [[ts.isoformat() + "+00:00" for ts in table.timestamp.astype(object)]]
+    columns = [isoformat_utc(table.timestamp.view(np.int64))]
     columns += [
         _format_column(values)
         for values in (
@@ -398,11 +429,12 @@ def interpolate_passengers(
     """Spread hourly passenger counts over the step grid.
 
     An anchor at hour boundary H carries the count for the hour ending
-    at H, so the grid steps starting in [H-1h, H) share it. Values are
-    piecewise-linear between anchors (held flat beyond the ends), then
-    renormalized per hour so the values of a fully covered hour sum to
-    that hour's anchor count exactly (under math.fsum). Hours only
-    partially covered by the grid get a proportional share.
+    at H, so the grid steps starting in [H-1h, H) share it. Hours are
+    those of grid[0]'s own clock. Values are piecewise-linear between
+    anchors (held flat beyond the ends), then renormalized per hour so
+    the values of a fully covered hour sum to that hour's anchor count
+    exactly (under math.fsum). Hours only partially covered by the grid
+    get a proportional share.
 
     Args:
         hourly: (timestamp, count) anchors, strictly increasing in time.
@@ -412,41 +444,57 @@ def interpolate_passengers(
     Returns:
         One nonnegative count per grid step.
     """
-    if not hourly:
+    values = _spread_passengers(
+        np.array([_micros(ts) for ts, _ in hourly], dtype=np.int64),
+        np.array([float(count) for _, count in hourly]),
+        np.array([_micros(ts) for ts in grid], dtype=np.int64),
+        step,
+        _micros(_floor_hour(grid[0])) if grid else 0,
+    )
+    return values.tolist()
+
+
+def _spread_passengers(
+    anchor_us: np.ndarray,
+    counts: np.ndarray,
+    grid_us: np.ndarray,
+    step: Optional[float],
+    floor_us: int,
+) -> np.ndarray:
+    """interpolate_passengers on int64 microseconds since the epoch.
+    floor_us is the hour boundary at or before grid_us[0] on the grid's
+    clock; the grid's hours start from it."""
+    if not len(anchor_us):
         raise EmptyAnchors()
-    for (prev_ts, _), (next_ts, _) in zip(hourly, hourly[1:]):
-        if next_ts <= prev_ts:
-            raise UnsortedAnchors(next_ts)
-    for _, count in hourly:
-        if count < 0:
-            raise ValueError(f"anchor counts must be nonnegative, got {count}")
-    if not grid:
-        return []
+    unsorted = np.flatnonzero(np.diff(anchor_us) <= 0)
+    if unsorted.size:
+        raise UnsortedAnchors(_utc(anchor_us[unsorted[0] + 1]))
+    negative = np.flatnonzero(counts < 0)
+    if negative.size:
+        raise ValueError(f"anchor counts must be nonnegative, got {counts[negative[0]]}")
+    if not len(grid_us):
+        return np.zeros(0)
     if step is None:
-        if len(grid) < 2:
+        if len(grid_us) < 2:
             raise ValueError("cannot infer the step from a single-point grid")
-        step = (grid[1] - grid[0]).total_seconds()
+        step = (grid_us[1] - grid_us[0]) / 1e6
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
-    # integer microseconds from the floor of grid[0]'s hour, in its own time zone
-    floor = _floor_hour(grid[0])
-    offsets = np.array([(ts - floor) // _MICROSECOND for ts in grid], dtype=np.int64)
-    if (np.abs(np.diff(offsets) / 1e6 - step) > 1e-9).any():
+    if (np.abs(np.diff(grid_us) / 1e6 - step) > 1e-9).any():
         raise ValueError("grid timestamps must be uniformly spaced")
 
-    anchor_s = np.array([ts.timestamp() for ts, _ in hourly])
-    counts = np.array([float(count) for _, count in hourly])
-    grid_s = np.array([ts.timestamp() for ts in grid])
-    raw = np.interp(grid_s, anchor_s, counts)
+    # seconds since the epoch, as datetime.timestamp() gives them
+    anchor_s = anchor_us / 1e6
+    raw = np.interp(grid_us / 1e6, anchor_s, counts)
 
     # a sorted grid puts each hour's steps in one contiguous run
-    hour = offsets // (_HOUR // _MICROSECOND)
-    bounds = np.append(np.flatnonzero(np.diff(hour, prepend=-1)), len(grid))
-    hour_ends = [(floor + _HOUR * (int(h) + 1)).timestamp() for h in hour[bounds[:-1]]]
+    hour = (grid_us - floor_us) // _US_PER_HOUR
+    bounds = np.append(np.flatnonzero(np.diff(hour, prepend=-1)), len(grid_us))
+    hour_ends = (floor_us + (hour[bounds[:-1]] + 1) * _US_PER_HOUR) / 1e6
     hour_counts = np.interp(hour_ends, anchor_s, counts)
 
     steps_per_hour = 3600.0 / step
-    values = np.zeros(len(grid))
+    values = np.zeros(len(grid_us))
     for lo, hi, hour_count in zip(bounds[:-1].tolist(), bounds[1:].tolist(), hour_counts.tolist()):
         target = hour_count * ((hi - lo) / steps_per_hour)
         chunk = raw[lo:hi]
@@ -464,7 +512,7 @@ def interpolate_passengers(
         else:
             result = np.full(hi - lo, target / (hi - lo))
         values[lo:hi] = result
-    return values.tolist()
+    return values
 
 
 def classify_mode(v_cool_w, t_water_in, t_water_out, e_v, rule: ModeRule = ModeRule()):
@@ -556,8 +604,9 @@ def build_frames(
     passengers = table.passengers[order]
     anchored = ~np.isnan(passengers)
     if anchored.any():
-        anchors = [(_utc(us), count) for us, count in zip(micros[anchored].tolist(), passengers[anchored].tolist())]
-        n_per_step = interpolate_passengers(anchors, _grid(start, step, n_steps), step=step)
+        grid = time_axis(start, step, n_steps)
+        floor_us = grid[0] - grid[0] % _US_PER_HOUR
+        n_per_step = _spread_passengers(micros[anchored], passengers[anchored], grid, step, floor_us)
     else:
         n_per_step = np.zeros(n_steps)
 

@@ -10,8 +10,12 @@ The fit minimizes the relative L1 error
 subject to c_p > 0, alpha > 0, beta_ac >= 0, by scanning a (c_p, alpha)
 grid; for each cell the optimal beta_ac has a closed form, the weighted
 median of the per-row ratios. Prefix-summed variants of the rows tame
-sensor quantization zigzag in b: integrated targets telescope to a
-temperature difference, so step-level rounding stops accumulating.
+sensor quantization zigzag in b: within a run of consecutive
+refrigerator frames the integrated targets telescope to a temperature
+difference, so step-level rounding does not build up inside the run.
+The sums run over the whole system, so each run boundary adds its
+quantization error to every later row, and the error grows with the
+number of runs, that is with dataset length.
 
 Grid cells are evaluated in batches whose size follows from the row
 count, so a batch's working arrays fit in a core's L2 cache.

@@ -32,9 +32,13 @@ from .ingest import (
     FrameSeries,
     ModeRule,
     RecordTable,
-    _utc_stamps,
+    _US_PER_HOUR,
+    _US_PER_S,
+    _micros,
+    _spread_passengers,
+    _utc,
     classify_mode,
-    interpolate_passengers,
+    time_axis,
     write_records_csv,
 )
 from .models import fan_airflow
@@ -217,20 +221,21 @@ class Scenario:
             object.__setattr__(self, "start", self.start.replace(tzinfo=timezone.utc))
 
 
-def _hour_of_day(ts: datetime) -> float:
-    return ts.hour + ts.minute / 60.0 + ts.second / 3600.0 + ts.microsecond / 3.6e9
+def _hour_of_day(local_us: np.ndarray) -> np.ndarray:
+    """ts.hour + ts.minute / 60 + ts.second / 3600 + ts.microsecond / 3.6e9
+    of each wall-clock time, given as int64 microseconds."""
+    hour, rest = np.divmod(local_us % (24 * _US_PER_HOUR), _US_PER_HOUR)
+    minute, rest = np.divmod(rest, 60 * _US_PER_S)
+    second, microsecond = np.divmod(rest, _US_PER_S)
+    return hour + minute / 60.0 + second / 3600.0 + microsecond / 3.6e9
 
 
-def _hourly_anchors(scenario: Scenario, grid: list[datetime]) -> list[tuple[datetime, float]]:
-    """Anchor (timestamp, count) pairs for every on-the-hour grid row
-    after the first. The anchor at H carries the count for [H-1h, H)."""
-    day_counts = scenario.passengers.hourly_counts()
-    anchors = []
-    for ts in grid[1:]:
-        if ts.minute == 0 and ts.second == 0 and ts.microsecond == 0:
-            hour_start = ts - timedelta(hours=1)
-            anchors.append((ts, float(day_counts[hour_start.hour])))
-    return anchors
+def _hourly_anchors(scenario: Scenario, local_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The grid rows after the first that sit on a wall-clock hour, and
+    their counts. The anchor at H carries the count for [H-1h, H)."""
+    rows = np.flatnonzero(local_us[1:] % _US_PER_HOUR == 0) + 1
+    day_counts = np.array(scenario.passengers.hourly_counts(), dtype=float)
+    return rows, day_counts[(local_us[rows] // _US_PER_HOUR - 1) % 24]
 
 
 def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, float]]]:
@@ -243,6 +248,9 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, floa
     differences of the emitted indoor channel, exactly what a consumer
     re-derives from the CSV.
 
+    Steps are absolute time; clock times (the hour of day, the hourly
+    anchors) read the start's UTC offset throughout.
+
     Raises DivergedState if the latent temperature leaves a plausible
     range, and warns with IdentifiabilityWarning when the refrigerator
     rows it generates are too collinear to pin the coefficients down.
@@ -251,11 +259,16 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, floa
     theta = scenario.theta_true
     plant = scenario.hvac
     n_steps = scenario.duration_steps
-    grid = [scenario.start + timedelta(seconds=i * constants.step) for i in range(n_steps)]
+    grid = time_axis(scenario.start, constants.step, n_steps)
+    local_us = grid + scenario.start.utcoffset() // timedelta(microseconds=1)
 
-    anchors = _hourly_anchors(scenario, grid)
+    rows, counts = _hourly_anchors(scenario, local_us)
+    anchor_us = grid[rows]
+    zone = scenario.start.tzinfo
+    anchors = [(_utc(us).astimezone(zone), count) for us, count in zip(anchor_us.tolist(), counts.tolist())]
     if anchors:
-        n_per_step = interpolate_passengers(anchors, grid, step=constants.step)
+        floor_us = grid[0] - local_us[0] % _US_PER_HOUR
+        n_per_step = _spread_passengers(anchor_us, counts, grid, constants.step, floor_us)
     else:
         if scenario.passengers.daily_total > 0:
             warnings.warn(
@@ -263,7 +276,9 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, floa
                 UserWarning,
                 stacklevel=2,
             )
-        n_per_step = [0.0] * n_steps
+        n_per_step = np.zeros(n_steps)
+    hours = _hour_of_day(local_us).tolist()
+    n_list = n_per_step.tolist()
 
     e_v_min = plant.e_v_min_fraction * plant.e_v_max
 
@@ -278,11 +293,11 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, floa
     cooling_on = False
     for i in range(n_steps):
         latent_t[i] = temperature
-        hour = _hour_of_day(grid[i])
+        hour = hours[i]
         t_out = scenario.outdoor.temperature(hour)
         t_out_series[i] = t_out
 
-        l_pil = theta.c_p * n_per_step[i] * (constants.t_p - temperature)
+        l_pil = theta.c_p * n_list[i] * (constants.t_p - temperature)
         l_eil = theta.alpha * (t_out - temperature)
         load_total = l_pil + l_eil
 
@@ -385,17 +400,22 @@ def emit_csv(
 ) -> None:
     """Write the series in the dataset CSV layout, one indoor and one
     outdoor channel, with passenger counts on their anchor rows."""
-    timestamps = series.timestamps()
-    anchor_by_ts = dict(anchors)
+    micros = series.micros
+    passengers = np.full(len(series), math.nan)
+    if anchors:
+        anchor_us = np.array([_micros(ts) for ts, _ in anchors], dtype=np.int64)
+        row = np.minimum(np.searchsorted(micros, anchor_us), len(micros) - 1)
+        on_grid = micros[row] == anchor_us
+        passengers[row[on_grid]] = np.array([count for _, count in anchors], dtype=float)[on_grid]
     table = RecordTable(
-        timestamp=_utc_stamps(timestamps),
+        timestamp=micros.view("datetime64[us]"),
         indoor=series.t_in[:, None],
         outdoor=series.t_out[:, None],
         t_water_in=series.t_water_in,
         t_water_out=series.t_water_out,
         v_cool_w=series.v_cool_w,
         e_v=series.e_v,
-        passengers=[anchor_by_ts.get(ts, math.nan) for ts in timestamps],
+        passengers=passengers,
     )
     write_records_csv(table, path, schema)
 

@@ -129,6 +129,15 @@ class TestSignature:
                      "--theta", str(fit_out / "fit.json"), "--out", str(out)])
         assert code == EXIT_OK
 
+    def test_block_size_does_not_change_the_bytes(self, day_run, monkeypatch):
+        argv = ["signature", "--config", day_run.config, "--dataset", day_run.dataset, "--theta", day_run.truth]
+        assert main([*argv, "--out", str(day_run.root / "one-block")]) == EXIT_OK
+        # 1440 rows in blocks of 7: 205 full blocks and a short last one
+        monkeypatch.setattr(thermosig.cli, "_BLOCK_ROWS", 7)
+        assert main([*argv, "--out", str(day_run.root / "short-blocks")]) == EXIT_OK
+        for name in ("signature.csv", "summary.json"):
+            assert (day_run.root / "short-blocks" / name).read_bytes() == (day_run.root / "one-block" / name).read_bytes()
+
 
 class TestEval:
     def test_compares_raw_and_integrated(self, day_run):
@@ -236,10 +245,58 @@ class TestGoldenOutputs:
         }
         assert digests == self.SHA256
 
+    # start, step, steps, and sha256 recorded while frames still stepped one datetime at a time
+    AWKWARD_CLOCKS = {
+        # quarter-second stamps: no row sits on an hour, so no passenger anchors
+        "plus0800-quarter-second": ("2012-07-01T07:13:00.250000+08:00", 30.0, 2881, {
+            "dataset.csv": "57b4f2450e9fe8bb7e4fc375e874ad7fd594e933a76702cd71d07d979b7c34a9",
+            "signature.csv": "0675c1e3e23ff5503ccf0ed5aa46ef052dd1c9bd93ecfef823486fa0e1a90a71",
+            "summary.json": "caa2d89254e997989b6e3823385b03681d9bd5c35fc04441b8dfe763fc7e03d5",
+        }),
+        # local hours fall on the half hour in UTC
+        "plus0530": ("2012-07-01T09:10:00+05:30", 60.0, 1441, {
+            "dataset.csv": "b48c643c3645cae87c7a898d3b40781830490a54b3788ef1bdb897c58c1a8eb4",
+            "signature.csv": "1429b7f777620cff0247665bd0728b40cf1afeeef81ae926bb327a24b63e0885",
+            "summary.json": "0287501e545ece0fef6f464afd3b8d0e09e6f1bd86cad0550a1f38ee876ea5b3",
+        }),
+    }
+
+    @pytest.mark.parametrize("clock", sorted(AWKWARD_CLOCKS))
+    def test_awkward_clocks_match_recorded_hashes(self, clock, tmp_path):
+        start, step, steps, expected = self.AWKWARD_CLOCKS[clock]
+        constants = dict(CONSTANTS, step=step)
+        scenario = {
+            "duration_steps": steps,
+            "start": start,
+            "seed": 3,
+            "constants": constants,
+            "noise": {"temp_std": 0.05, "temp_quantization": 0.1},
+        }
+        config = _write_config(
+            tmp_path / "config.json",
+            constants=constants,
+            grid={"cells": 6, "refinement_passes": 1},
+            scenario=scenario,
+        )
+        common = ["--config", config, "--out", str(tmp_path)]
+        dataset = ["--dataset", str(tmp_path / "dataset.csv")]
+        with warnings.catch_warnings():
+            # no anchors leave c_p unidentifiable, and that fit lands on the grid's boundary
+            warnings.simplefilter("ignore")
+            for argv in (
+                ["simulate"],
+                ["fit", *dataset],
+                ["signature", *dataset, "--theta", str(tmp_path / "fit.json")],
+            ):
+                assert main([*argv, *common]) == EXIT_OK
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in expected}
+        assert digests == expected
+
 
 class TestBenchmarkContract:
     """perfbench/tracing.py times a run by swapping these names in
-    thermosig.cli and reads grid_fit's arguments by name."""
+    thermosig.cli, unpacks simulate's result and reads grid_fit's
+    arguments by name."""
 
     TRACED = (
         "simulate", "emit_csv", "parse_csv", "build_frames", "assemble", "integrate",
@@ -249,6 +306,17 @@ class TestBenchmarkContract:
     def test_traced_names_are_cli_attributes(self):
         missing = [name for name in self.TRACED if not callable(getattr(thermosig.cli, name, None))]
         assert missing == []
+
+    def test_simulate_returns_the_series_and_its_anchors(self):
+        scenario = thermosig.cli.Scenario(duration_steps=181)
+        series, anchors = thermosig.cli.simulate(scenario)
+        assert isinstance(series, thermosig.cli.FrameSeries)
+        assert len(series) == scenario.duration_steps
+        assert [count for _, count in anchors] == [float(c) for c in scenario.passengers.hourly_counts()[:3]]
+
+    def test_emit_csv_keeps_its_traced_parameters(self):
+        parameters = inspect.signature(thermosig.cli.emit_csv).parameters
+        assert list(parameters) == ["series", "anchors", "path", "schema"]
 
     def test_grid_fit_keeps_its_traced_parameters(self):
         parameters = inspect.signature(thermosig.cli.grid_fit).parameters

@@ -6,6 +6,8 @@ from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from thermosig import (
     HvacMode,
@@ -30,7 +32,7 @@ from thermosig.errors import (
     TooShort,
     UnsortedAnchors,
 )
-from thermosig.ingest import CHANNELS, FrameSeries, _floor_hour
+from thermosig.ingest import CHANNELS, FrameSeries, _floor_hour, isoformat_utc, time_axis
 
 T0 = datetime(2021, 6, 1, 9, 0, tzinfo=timezone.utc)
 CONSTANTS = StationConstants(step=60.0)
@@ -512,3 +514,35 @@ class TestFrameSeries:
         columns["e_v"] = columns["e_v"][:1]
         with pytest.raises(ValueError, match="'e_v'"):
             FrameSeries(start=good.start, step=good.step, **columns)
+
+
+def _stepped_isoformat(start: datetime, step: float, count: int) -> list[str]:
+    """The frame instants written plainly: one timedelta step per frame."""
+    return [(start + timedelta(seconds=i * step)).astimezone(timezone.utc).isoformat() for i in range(count)]
+
+
+PLUS_0530 = timezone(timedelta(hours=5, minutes=30))
+MINUS_0300 = timezone(timedelta(hours=-3))
+
+
+class TestTimeAxis:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        instant=st.datetimes(min_value=datetime(1, 1, 2), max_value=datetime(9999, 12, 1)),
+        zone=st.sampled_from([timezone.utc, PLUS_0530, MINUS_0300]),
+        step=st.sampled_from([0.1, 1 / 3, 59.9999995]) | st.floats(min_value=1e-6, max_value=3600.0),
+        count=st.integers(min_value=1, max_value=300),
+    )
+    @example(datetime(1, 1, 2, 0, 0, 0, 250000), MINUS_0300, 1 / 3, 300)
+    @example(datetime(1, 1, 2, 3, 4, 5, 999999), PLUS_0530, 59.9999995, 300)
+    @example(datetime(9999, 12, 1, 23, 59, 59, 1), PLUS_0530, 0.1, 300)
+    @example(datetime(9999, 12, 1, 7, 13, 0, 250000), MINUS_0300, 59.9999995, 300)
+    @example(datetime(2012, 6, 30, 23, 13, 0, 250000), timezone(timedelta(hours=8)), 30.0, 300)
+    def test_isoformat_of_the_axis_matches_timedelta_steps(self, instant, zone, step, count):
+        start = instant.replace(tzinfo=timezone.utc).astimezone(zone)
+        assert isoformat_utc(time_axis(start, step, count)) == _stepped_isoformat(start, step, count)
+
+    def test_series_instants_follow_the_start_and_step(self):
+        series = build_frames(_table([_record(0), _record(1), _record(2)]), CONSTANTS)
+        assert series.micros.tolist() == [(ts - datetime(1970, 1, 1, tzinfo=timezone.utc)) // timedelta(microseconds=1)
+                                          for ts in (_ts(0), _ts(1), _ts(2))]
