@@ -64,16 +64,18 @@ def _build(section: str, builder, raw: dict):
         raise ConfigError(f"bad {section!r} section: {exc}") from None
 
 
-def load_config(path: str) -> RunConfig:
+def _read_json(path: str):
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            return json.load(handle)
     except OSError as exc:
         raise IoError(path, str(exc)) from None
-    try:
-        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+
+
+def load_config(path: str) -> RunConfig:
+    data = _read_json(path)
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: top level must be an object")
 
@@ -143,14 +145,8 @@ def _ensure_out_dir(out_dir: str) -> None:
         raise IoError(out_dir, str(exc)) from None
 
 
-def _read_theta(path: str) -> Theta:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except OSError as exc:
-        raise IoError(path, str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
+def _theta_from(data, path: str) -> Theta:
+    """The theta section of a parsed fit.json or truth.json."""
     try:
         raw = data["theta"]
         return Theta(c_p=float(raw["c_p"]), alpha=float(raw["alpha"]), beta_ac=float(raw["beta_ac"]))
@@ -233,7 +229,7 @@ def cmd_fit(config: RunConfig, dataset: str, out_dir: str, use_integrated: bool)
 def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str) -> None:
     """Decompose the dataset's load under theta; write signature.csv and
     summary.json, one row per frame that has a delta."""
-    theta = _read_theta(theta_path)
+    theta = _theta_from(_read_json(theta_path), theta_path)
     series = _load_frames(config, dataset)
     l_total, l_pil, l_eil = load(series, theta, config.constants)
     supplied = supply(series, theta, config.constants).total
@@ -309,18 +305,14 @@ def _coefficient_errors(estimate: Theta, truth: Theta) -> dict:
 
 def cmd_eval(config: RunConfig, dataset: str, truth_path: str, out_dir: str) -> None:
     """Fit the dataset both ways and compare against the known truth."""
-    try:
-        with open(truth_path, encoding="utf-8") as handle:
-            truth_data = json.load(handle)
-    except OSError as exc:
-        raise IoError(truth_path, str(exc)) from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{truth_path}: invalid JSON: {exc}") from None
-    theta_true = _read_theta(truth_path)
+    truth_data = _read_json(truth_path)
+    theta_true = _theta_from(truth_data, truth_path)
 
     series = _load_frames(config, dataset)
     described = truth_data.get("dataset")
     if described is not None:
+        if not isinstance(described, dict):
+            raise ConfigError(f"{truth_path}: 'dataset' must be an object, got {described!r}")
         matches = (
             described.get("rows") == len(series)
             and described.get("step") == series.step

@@ -59,6 +59,16 @@ class UnsortedAnchors(IngestError):
         super().__init__(f"passenger anchors not strictly increasing at {at.isoformat()}")
 
 
+class OffClockAnchor(IngestError):
+    def __init__(self, at: datetime, first: datetime):
+        self.at = at
+        self.first = first
+        super().__init__(
+            f"passenger anchor at {at.isoformat()} is not a whole number of hours "
+            f"after the first anchor at {first.isoformat()}"
+        )
+
+
 class MisalignedTimestamp(IngestError):
     def __init__(self, at: datetime):
         self.at = at

@@ -3,8 +3,10 @@ filling, passenger interpolation, and per-step mode classification.
 
 The on-disk format is a UTF-8 comma CSV with a header. Temperature
 channels may repeat (t_in_1..k, t_out_1..m); empty cells mean missing.
-The optional passengers column is populated only on hour-boundary rows
-and carries the count for the hour ending at that timestamp.
+The optional passengers column is the anchor column: NaN except on the
+rows at the station's hour boundaries, each carrying the count for the
+hour ending at that timestamp. spread_anchors turns it into per-step
+counts, for build_frames and the simulator alike.
 
 A file is read into a RecordTable, one array per column in file order,
 and build_frames turns the table into a FrameSeries on the step grid;
@@ -37,14 +39,15 @@ from .errors import (
     MisalignedTimestamp,
     MissingColumn,
     NegativeValue,
+    OffClockAnchor,
     TooShort,
     UnsortedAnchors,
 )
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
-_US_PER_S = 1_000_000
-_US_PER_HOUR = 3600 * _US_PER_S
+US_PER_S = 1_000_000
+US_PER_HOUR = 3600 * US_PER_S
 
 
 @dataclass(frozen=True)
@@ -92,9 +95,9 @@ class RecordTable:
     timestamp is datetime64[us] in UTC. indoor and outdoor are
     (rows, channels) float64 arrays with one column per t_in_i / t_out_i
     in channel-number order; every other column is float64 with one
-    entry a row. NaN marks an empty cell. passengers is set only on rows
-    that sit on an hour boundary and carries the count for the hour
-    ending at that timestamp.
+    entry a row. NaN marks an empty cell. passengers is the anchor
+    column: set only on rows at the station's hour boundaries, it carries
+    the count for the hour ending at that timestamp.
     """
 
     timestamp: np.ndarray
@@ -196,11 +199,6 @@ class FrameSeries:
         """The UTC instant of each frame, int64 microseconds since the epoch."""
         return time_axis(self.start, self.step, len(self))
 
-    def timestamps(self) -> list[datetime]:
-        """The frame instants as aware datetimes in the start's time zone
-        (local time for a naive start), built on demand."""
-        return [_utc(us).astimezone(self.start.tzinfo) for us in self.micros.tolist()]
-
 
 def _micros(ts: datetime) -> int:
     """Microseconds since the epoch of ts; a naive ts is local time, as in
@@ -213,7 +211,7 @@ def time_axis(start: datetime, step: float, count: int) -> np.ndarray:
     i < count: the offset of frame i rounds as timedelta(seconds=i * step)
     does, whole seconds kept apart from the half-even rounded fraction."""
     frac, whole = np.modf(np.arange(count) * step)
-    return _micros(start) + whole.astype(np.int64) * _US_PER_S + np.rint(frac * 1e6).astype(np.int64)
+    return _micros(start) + whole.astype(np.int64) * US_PER_S + np.rint(frac * 1e6).astype(np.int64)
 
 
 def isoformat_utc(micros: np.ndarray) -> list[str]:
@@ -221,7 +219,7 @@ def isoformat_utc(micros: np.ndarray) -> list[str]:
     the epoch: a +00:00 suffix, and the fraction only where it is nonzero."""
     stamps = np.asarray(micros, dtype=np.int64).view("datetime64[us]")
     text = np.datetime_as_string(stamps, unit="s").astype(object)
-    fractional = np.flatnonzero(stamps.view(np.int64) % _US_PER_S)
+    fractional = np.flatnonzero(stamps.view(np.int64) % US_PER_S)
     if fractional.size:
         text[fractional] = np.datetime_as_string(stamps[fractional], unit="us")
     return (text + "+00:00").tolist()
@@ -454,6 +452,26 @@ def interpolate_passengers(
     return values.tolist()
 
 
+def spread_anchors(anchors: np.ndarray, micros: np.ndarray, step: float) -> np.ndarray:
+    """Per-step passenger counts from an anchor column, as interpolate_passengers
+    spreads them. anchors is NaN except on the rows that carry the count for
+    the hour ending there; micros holds each row's instant.
+
+    The first anchor sits on an hour boundary of the station's clock, so it
+    fixes where every hour starts; an anchor that is not a whole number of
+    hours after it raises OffClockAnchor. Without anchors every count is zero.
+    """
+    rows = np.flatnonzero(~np.isnan(anchors))
+    if not rows.size:
+        return np.zeros(len(micros))
+    anchor_us = micros[rows]
+    off_clock = np.flatnonzero((anchor_us - anchor_us[0]) % US_PER_HOUR)
+    if off_clock.size:
+        raise OffClockAnchor(_utc(anchor_us[off_clock[0]]), _utc(anchor_us[0]))
+    floor_us = micros[0] - (micros[0] - anchor_us[0]) % US_PER_HOUR
+    return _spread_passengers(anchor_us, anchors[rows], micros, step, floor_us)
+
+
 def _spread_passengers(
     anchor_us: np.ndarray,
     counts: np.ndarray,
@@ -488,9 +506,9 @@ def _spread_passengers(
     raw = np.interp(grid_us / 1e6, anchor_s, counts)
 
     # a sorted grid puts each hour's steps in one contiguous run
-    hour = (grid_us - floor_us) // _US_PER_HOUR
+    hour = (grid_us - floor_us) // US_PER_HOUR
     bounds = np.append(np.flatnonzero(np.diff(hour, prepend=-1)), len(grid_us))
-    hour_ends = (floor_us + (hour[bounds[:-1]] + 1) * _US_PER_HOUR) / 1e6
+    hour_ends = (floor_us + (hour[bounds[:-1]] + 1) * US_PER_HOUR) / 1e6
     hour_counts = np.interp(hour_ends, anchor_s, counts)
 
     steps_per_hour = 3600.0 / step
@@ -566,8 +584,8 @@ def build_frames(
     timestamp; missing rows become per-channel gaps, and so do rows
     with no indoor or no outdoor reading. Gaps of at most max_gap steps
     are filled (linear inside, nearest at the edges); longer ones raise
-    GapTooLong. Passenger counts come from the hourly anchors present in
-    the table, or zero when there are none.
+    GapTooLong. The passengers column goes onto the grid unfilled, and
+    spread_anchors turns its anchors into per-step counts.
     """
     if len(table) < 2:
         raise TooShort(len(table))
@@ -588,27 +606,16 @@ def build_frames(
     start = _utc(micros[0])
 
     t_in, t_out = average_channels(table)
-    channels = {}
-    for name, values in (
-        ("t_in", t_in),
-        ("t_out", t_out),
-        ("t_water_in", table.t_water_in),
-        ("t_water_out", table.t_water_out),
-        ("v_cool_w", table.v_cool_w),
-        ("e_v", table.e_v),
-    ):
-        column = np.full(n_steps, np.nan)
-        column[slot] = values[order]
-        channels[name] = _fill_gaps(column, start, step, max_gap)
-
-    passengers = table.passengers[order]
-    anchored = ~np.isnan(passengers)
-    if anchored.any():
-        grid = time_axis(start, step, n_steps)
-        floor_us = grid[0] - grid[0] % _US_PER_HOUR
-        n_per_step = _spread_passengers(micros[anchored], passengers[anchored], grid, step, floor_us)
-    else:
-        n_per_step = np.zeros(n_steps)
+    plant = ("t_water_in", "t_water_out", "v_cool_w", "e_v")
+    columns = np.stack([t_in, t_out, *(getattr(table, name) for name in plant), table.passengers])
+    # every reading and the anchor column go onto the grid alike; only the readings are gap-filled
+    on_grid = np.full((len(columns), n_steps), np.nan)
+    on_grid[:, slot] = columns[:, order]
+    *readings, anchors = on_grid
+    channels = {
+        name: _fill_gaps(column, start, step, max_gap) for name, column in zip(("t_in", "t_out", *plant), readings)
+    }
+    n_per_step = spread_anchors(anchors, time_axis(start, step, n_steps), step)
 
     resolved = rule.resolve(float(channels["e_v"].max()))
     mode = classify_mode(

@@ -9,10 +9,11 @@ a perfectly tracking plant would leave the coefficients identifiable
 only up to scale.
 
 Sensor noise touches only the emitted temperature channels; the latent
-state, actuator channels, and passenger counts stay exact. Per-step
-passenger counts are spread from the hourly anchors with the same
-interpolation the ingestion side uses, so a round trip through the CSV
-reproduces the regression system bit for bit.
+state, actuator channels, and passenger counts stay exact. The hourly
+anchors are the CSV's passengers column, and the per-step counts are
+spread from it by the same spread_anchors the ingestion side calls, so a
+round trip through the CSV reproduces the frames bit for bit whatever
+the start's UTC offset.
 """
 
 from __future__ import annotations
@@ -28,16 +29,14 @@ import numpy as np
 from .core import StationConstants, Theta
 from .errors import DivergedState, EmptySystem
 from .ingest import (
+    US_PER_HOUR,
+    US_PER_S,
     CsvSchema,
     FrameSeries,
     ModeRule,
     RecordTable,
-    _US_PER_HOUR,
-    _US_PER_S,
-    _micros,
-    _spread_passengers,
-    _utc,
     classify_mode,
+    spread_anchors,
     time_axis,
     write_records_csv,
 )
@@ -224,22 +223,25 @@ class Scenario:
 def _hour_of_day(local_us: np.ndarray) -> np.ndarray:
     """ts.hour + ts.minute / 60 + ts.second / 3600 + ts.microsecond / 3.6e9
     of each wall-clock time, given as int64 microseconds."""
-    hour, rest = np.divmod(local_us % (24 * _US_PER_HOUR), _US_PER_HOUR)
-    minute, rest = np.divmod(rest, 60 * _US_PER_S)
-    second, microsecond = np.divmod(rest, _US_PER_S)
+    hour, rest = np.divmod(local_us % (24 * US_PER_HOUR), US_PER_HOUR)
+    minute, rest = np.divmod(rest, 60 * US_PER_S)
+    second, microsecond = np.divmod(rest, US_PER_S)
     return hour + minute / 60.0 + second / 3600.0 + microsecond / 3.6e9
 
 
-def _hourly_anchors(scenario: Scenario, local_us: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The grid rows after the first that sit on a wall-clock hour, and
-    their counts. The anchor at H carries the count for [H-1h, H)."""
-    rows = np.flatnonzero(local_us[1:] % _US_PER_HOUR == 0) + 1
+def _hourly_anchors(scenario: Scenario, local_us: np.ndarray) -> np.ndarray:
+    """The anchor column: NaN except on the grid rows after the first that
+    sit on a wall-clock hour H, which carry the count for [H-1h, H)."""
+    anchors = np.full(len(local_us), np.nan)
+    rows = np.flatnonzero(local_us[1:] % US_PER_HOUR == 0) + 1
     day_counts = np.array(scenario.passengers.hourly_counts(), dtype=float)
-    return rows, day_counts[(local_us[rows] // _US_PER_HOUR - 1) % 24]
+    anchors[rows] = day_counts[(local_us[rows] // US_PER_HOUR - 1) % 24]
+    return anchors
 
 
-def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, float]]]:
-    """Integrate the scenario forward and return frames plus anchors.
+def simulate(scenario: Scenario) -> tuple[FrameSeries, np.ndarray]:
+    """Integrate the scenario forward and return frames plus the anchor
+    column, one float a step, as emit_csv writes it.
 
     The latent indoor temperature evolves by
         T(i+1) = T(i) + (load - supply) / (c * m_z)
@@ -262,21 +264,14 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, list[tuple[datetime, floa
     grid = time_axis(scenario.start, constants.step, n_steps)
     local_us = grid + scenario.start.utcoffset() // timedelta(microseconds=1)
 
-    rows, counts = _hourly_anchors(scenario, local_us)
-    anchor_us = grid[rows]
-    zone = scenario.start.tzinfo
-    anchors = [(_utc(us).astimezone(zone), count) for us, count in zip(anchor_us.tolist(), counts.tolist())]
-    if anchors:
-        floor_us = grid[0] - local_us[0] % _US_PER_HOUR
-        n_per_step = _spread_passengers(anchor_us, counts, grid, constants.step, floor_us)
-    else:
-        if scenario.passengers.daily_total > 0:
-            warnings.warn(
-                "no grid row falls on an hour boundary; passenger counts are all zero",
-                UserWarning,
-                stacklevel=2,
-            )
-        n_per_step = np.zeros(n_steps)
+    anchors = _hourly_anchors(scenario, local_us)
+    n_per_step = spread_anchors(anchors, grid, constants.step)
+    if scenario.passengers.daily_total > 0 and np.isnan(anchors).all():
+        warnings.warn(
+            "no grid row falls on an hour boundary; passenger counts are all zero",
+            UserWarning,
+            stacklevel=2,
+        )
     hours = _hour_of_day(local_us).tolist()
     n_list = n_per_step.tolist()
 
@@ -394,28 +389,21 @@ def _warn_if_collinear(series: FrameSeries, constants: StationConstants) -> None
 
 def emit_csv(
     series: FrameSeries,
-    anchors: list[tuple[datetime, float]],
+    anchors: np.ndarray,
     path: str,
     schema: CsvSchema = CsvSchema(),
 ) -> None:
     """Write the series in the dataset CSV layout, one indoor and one
-    outdoor channel, with passenger counts on their anchor rows."""
-    micros = series.micros
-    passengers = np.full(len(series), math.nan)
-    if anchors:
-        anchor_us = np.array([_micros(ts) for ts, _ in anchors], dtype=np.int64)
-        row = np.minimum(np.searchsorted(micros, anchor_us), len(micros) - 1)
-        on_grid = micros[row] == anchor_us
-        passengers[row[on_grid]] = np.array([count for _, count in anchors], dtype=float)[on_grid]
+    outdoor channel, with the anchor column as the passengers column."""
     table = RecordTable(
-        timestamp=micros.view("datetime64[us]"),
+        timestamp=series.micros.view("datetime64[us]"),
         indoor=series.t_in[:, None],
         outdoor=series.t_out[:, None],
         t_water_in=series.t_water_in,
         t_water_out=series.t_water_out,
         v_cool_w=series.v_cool_w,
         e_v=series.e_v,
-        passengers=passengers,
+        passengers=anchors,
     )
     write_records_csv(table, path, schema)
 

@@ -6,6 +6,7 @@ import json
 import warnings
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 import thermosig.cli
@@ -164,6 +165,15 @@ class TestEval:
 
 
 class TestExitCodes:
+    def test_truth_dataset_entry_must_be_an_object(self, day_run, tmp_path):
+        truth = json.loads(open(day_run.truth, encoding="utf-8").read())
+        truth["dataset"] = "x"
+        tampered = tmp_path / "truth.json"
+        tampered.write_text(json.dumps(truth))
+        code = main(["eval", "--config", day_run.config, "--dataset", day_run.dataset,
+                     "--theta", str(tampered), "--out", str(tmp_path)])
+        assert code == EXIT_CONFIG
+
     def test_missing_dataset_is_io(self, day_run, tmp_path):
         code = main(["fit", "--config", day_run.config,
                      "--dataset", str(tmp_path / "absent.csv"), "--out", str(tmp_path)])
@@ -253,11 +263,11 @@ class TestGoldenOutputs:
             "signature.csv": "0675c1e3e23ff5503ccf0ed5aa46ef052dd1c9bd93ecfef823486fa0e1a90a71",
             "summary.json": "caa2d89254e997989b6e3823385b03681d9bd5c35fc04441b8dfe763fc7e03d5",
         }),
-        # local hours fall on the half hour in UTC
+        # local hours fall on the half hour in UTC, and ingestion spreads the counts on them
         "plus0530": ("2012-07-01T09:10:00+05:30", 60.0, 1441, {
             "dataset.csv": "b48c643c3645cae87c7a898d3b40781830490a54b3788ef1bdb897c58c1a8eb4",
-            "signature.csv": "1429b7f777620cff0247665bd0728b40cf1afeeef81ae926bb327a24b63e0885",
-            "summary.json": "0287501e545ece0fef6f464afd3b8d0e09e6f1bd86cad0550a1f38ee876ea5b3",
+            "signature.csv": "51e8f7f9749473fff69f107dcc11766eb832c85f39d70fe752c15a3eff10737a",
+            "summary.json": "92b331de567a164302a468666246d5d73fc8b21d12fdcbbaf8b06aac2c55be29",
         }),
     }
 
@@ -312,7 +322,8 @@ class TestBenchmarkContract:
         series, anchors = thermosig.cli.simulate(scenario)
         assert isinstance(series, thermosig.cli.FrameSeries)
         assert len(series) == scenario.duration_steps
-        assert [count for _, count in anchors] == [float(c) for c in scenario.passengers.hourly_counts()[:3]]
+        assert len(anchors) == len(series)
+        assert anchors[~np.isnan(anchors)].tolist() == [float(c) for c in scenario.passengers.hourly_counts()[:3]]
 
     def test_emit_csv_keeps_its_traced_parameters(self):
         parameters = inspect.signature(thermosig.cli.emit_csv).parameters

@@ -29,6 +29,7 @@ from thermosig.errors import (
     MisalignedTimestamp,
     MissingColumn,
     NegativeValue,
+    OffClockAnchor,
     TooShort,
     UnsortedAnchors,
 )
@@ -498,11 +499,18 @@ class TestBuildFrames:
         assert series.n.tolist() == [0.0, 0.0]
 
 
-class TestFrameSeries:
-    def test_timestamps_follow_the_grid(self):
-        series = build_frames(_table([_record(0), _record(1), _record(2)]), CONSTANTS)
-        assert series.timestamps() == [_ts(0), _ts(1), _ts(2)]
+    def test_anchor_off_the_station_clock_rejected(self):
+        # 01:00Z fixes the hours; 02:30Z is a stray cell half an hour off them
+        records = [_record(float(m)) for m in range(-480, -389)]
+        records[0] = _record(-480.0, passengers=30.0)
+        records[90] = _record(-390.0, passengers=45.0)
+        with pytest.raises(OffClockAnchor) as err:
+            build_frames(_table(records), CONSTANTS)
+        assert err.value.at == datetime(2021, 6, 1, 2, 30, tzinfo=timezone.utc)
+        assert "2021-06-01T02:30:00+00:00" in str(err.value)
 
+
+class TestFrameSeries:
     def test_columns_are_read_only(self):
         series = build_frames(_table([_record(0), _record(1)]), CONSTANTS)
         with pytest.raises(ValueError):

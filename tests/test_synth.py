@@ -2,6 +2,7 @@
 and the CSV round trip back through ingestion."""
 
 import math
+from datetime import datetime
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ class TestSimulate:
         first, anchors_a = simulate(scenario)
         second, anchors_b = simulate(scenario)
         assert first == second
-        assert anchors_a == anchors_b
+        assert np.array_equal(anchors_a, anchors_b, equal_nan=True)
 
     def test_noiseless_frames_close_the_energy_balance(self):
         scenario = _one_day()
@@ -137,7 +138,9 @@ class TestSimulate:
 
     def test_plant_stays_off_outside_the_schedule(self):
         series, _ = simulate(_one_day())
-        off_hours = np.array([not 5 <= ts.hour < 23 for ts in series.timestamps()])
+        # the start is in UTC, so the UTC hour is the station's hour
+        hour = series.micros // 3_600_000_000 % 24
+        off_hours = (hour < 5) | (hour >= 23)
         assert off_hours.any()
         assert (series.mode[off_hours] == HvacMode.OFF).all()
         assert (series.e_v[off_hours] == 0.0).all() and (series.v_cool_w[off_hours] == 0.0).all()
@@ -147,11 +150,10 @@ class TestSimulate:
         series, anchors = simulate(scenario)
         counts = series.n.tolist()
         steps_per_hour = int(3600 / scenario.constants.step)
-        for ts, count in anchors:
-            end = int((ts - scenario.start).total_seconds() / scenario.constants.step)
+        for end in np.flatnonzero(~np.isnan(anchors)).tolist():
             if end >= steps_per_hour:
                 covered = counts[end - steps_per_hour:end]
-                assert math.fsum(covered) == count
+                assert math.fsum(covered) == anchors[end]
 
     def test_divergence_is_detected(self):
         # an empty, hot station with the plant disabled relaxes toward the
@@ -178,7 +180,7 @@ class TestSimulate:
         )
         with pytest.warns(UserWarning, match="hour boundary"):
             series, anchors = simulate(scenario)
-        assert anchors == []
+        assert len(anchors) == len(series) and np.isnan(anchors).all()
         assert (series.n == 0.0).all()
 
 
@@ -189,13 +191,24 @@ class TestCsvRoundTrip:
         assert reference_frames.step == series.step
         assert reference_frames == series
 
-    def test_noisy_round_trip_is_bit_exact(self, tmp_path):
-        scenario = _one_day(noise=NoiseModel(temp_std=0.05, temp_quantization=0.1), seed=9)
+    @pytest.mark.parametrize("offset", ["+00:00", "+05:30", "+05:45", "-03:00"])
+    def test_noisy_round_trip_is_bit_exact(self, offset, tmp_path):
+        # away from whole-hour offsets the station's hours start off the UTC hour
+        scenario = _one_day(
+            start=datetime(2021, 6, 1, tzinfo=datetime.strptime(offset, "%z").tzinfo),
+            noise=NoiseModel(temp_std=0.05, temp_quantization=0.1),
+            seed=9,
+        )
         series, anchors = simulate(scenario)
         path = str(tmp_path / "noisy.csv")
         emit_csv(series, anchors, path)
         rebuilt = build_frames(parse_csv(path), scenario.constants)
         assert rebuilt == series
+        steps_per_hour = int(3600 / scenario.constants.step)
+        ends = np.flatnonzero(~np.isnan(anchors)).tolist()
+        assert len(ends) == 24
+        for end in ends:
+            assert math.fsum(rebuilt.n[end - steps_per_hour:end].tolist()) == anchors[end]
 
 
 class TestScenarioSerialization:
