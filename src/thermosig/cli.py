@@ -17,8 +17,7 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass
-from datetime import timezone
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import HvacMode, LoadSignature, StationConstants, Theta
 from .errors import (
@@ -28,7 +27,9 @@ from .errors import (
     RegressionError,
     ThermosigError,
 )
-from .ingest import CsvSchema, FrameSeries, ModeRule, build_frames, isoformat_utc, parse_csv
+from .ingest import (
+    CsvSchema, FrameSeries, ModeRule, build_frames, format_floats, isoformat_utc, parse_csv, time_axis, write_columns
+)
 from .models import balance_target, load, supply
 from .regression import FitResult, GridSpec, assemble, grid_fit, integrate, objective
 from .synth import Scenario, emit_csv, scenario_from_dict, simulate
@@ -37,10 +38,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_CONFIG = 2
 EXIT_DEGENERATE = 3
-
-# signature.csv rows formatted and written at a time: enough to amortize a
-# write, few enough that the block's strings stay a small share of memory
-_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -90,6 +87,8 @@ def load_config(path: str) -> RunConfig:
         kwargs["grid"] = _build("grid", GridSpec, data.pop("grid"))
     if "mode_filter" in data:
         names = data.pop("mode_filter")
+        if not isinstance(names, list):
+            raise ConfigError(f"mode_filter must be a list of mode names, got {names!r}")
         try:
             kwargs["mode_filter"] = frozenset(HvacMode(name) for name in names)
         except ValueError as exc:
@@ -100,12 +99,16 @@ def load_config(path: str) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(f"bad scenario: {exc}") from None
     if "out_dir" in data:
-        kwargs["out_dir"] = str(data.pop("out_dir"))
+        out_dir = data.pop("out_dir")
+        if not isinstance(out_dir, str):
+            raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
+        kwargs["out_dir"] = out_dir
     if "max_gap" in data:
-        try:
-            kwargs["max_gap"] = int(data.pop("max_gap"))
-        except (TypeError, ValueError):
-            raise ConfigError("max_gap must be an integer") from None
+        max_gap = data.pop("max_gap")
+        # a JSON integer: neither a float nor a boolean, which Python counts as an int
+        if type(max_gap) is not int or max_gap < 0:
+            raise ConfigError(f"max_gap must be an integer >= 0, got {max_gap!r}")
+        kwargs["max_gap"] = max_gap
     if data:
         raise ConfigError(f"unknown config keys: {sorted(data)}")
     return RunConfig(**kwargs)
@@ -122,20 +125,12 @@ def _thread_count() -> int:
     return threads
 
 
-def _write_text(path: str, text: str) -> None:
-    _write_chunks(path, (text,))
-
-
-def _write_chunks(path: str, chunks: Iterable[str]) -> None:
+def _write_json(path: str, payload: dict) -> None:
     try:
         with open(path, "w", encoding="utf-8") as handle:
-            handle.writelines(chunks)
+            handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     except OSError as exc:
         raise IoError(path, str(exc)) from None
-
-
-def _write_json(path: str, payload: dict) -> None:
-    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _ensure_out_dir(out_dir: str) -> None:
@@ -180,10 +175,7 @@ def cmd_simulate(config: RunConfig, out_dir: str) -> None:
     series, anchors = simulate(scenario)
     _ensure_out_dir(out_dir)
     dataset_path = os.path.join(out_dir, "dataset.csv")
-    try:
-        emit_csv(series, anchors, dataset_path, config.schema)
-    except OSError as exc:
-        raise IoError(dataset_path, str(exc)) from None
+    emit_csv(series, anchors, dataset_path, config.schema)
     _write_json(
         os.path.join(out_dir, "truth.json"),
         {
@@ -191,7 +183,7 @@ def cmd_simulate(config: RunConfig, out_dir: str) -> None:
             "constants": asdict(scenario.constants),
             "dataset": {
                 "rows": len(series),
-                "start": series.start.astimezone(timezone.utc).isoformat(),
+                "start": isoformat_utc(time_axis(series.start, series.step, 1))[0],
                 "step": series.step,
             },
         },
@@ -215,10 +207,12 @@ def cmd_fit(config: RunConfig, dataset: str, out_dir: str, use_integrated: bool)
     _ensure_out_dir(out_dir)
     _write_json(os.path.join(out_dir, "fit.json"), _fit_payload(result))
 
-    lines = ["c_p,alpha,beta_ac,objective"]
-    for c_p, alpha, beta_ac, value in result.surface:
-        lines.append(f"{float(c_p)!r},{float(alpha)!r},{float(beta_ac)!r},{float(value)!r}")
-    _write_text(os.path.join(out_dir, "error_surface.csv"), "\n".join(lines) + "\n")
+    write_columns(
+        os.path.join(out_dir, "error_surface.csv"),
+        ["c_p", "alpha", "beta_ac", "objective"],
+        [(format_floats, column) for column in result.surface.T],
+        "\n",
+    )
     print(
         f"fit: c_p={result.theta.c_p:g} alpha={result.theta.alpha:g} "
         f"beta_ac={result.theta.beta_ac:g} relative_error={result.relative_error:.6g}"
@@ -240,10 +234,7 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
         supply=supplied[:-1],
         residual=l_total[:-1] - supplied[:-1] - balance_target(series, config.constants),
     )
-    columns = [
-        getattr(signature, name).tolist()
-        for name in ("l_total", "l_passenger", "l_environment", "supply", "residual")
-    ]
+    names = ("l_total", "l_passenger", "l_environment", "supply", "residual")
 
     relative_error = None
     try:
@@ -253,10 +244,19 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
         pass
 
     _ensure_out_dir(out_dir)
-    _write_chunks(os.path.join(out_dir, "signature.csv"), _signature_blocks(series, columns))
+    write_columns(
+        os.path.join(out_dir, "signature.csv"),
+        ["timestamp", "mode", *names],
+        [
+            (isoformat_utc, series.micros[:-1]),
+            (lambda modes: [mode.value for mode in modes], series.mode[:-1]),
+            *((format_floats, getattr(signature, name)) for name in names),
+        ],
+        "\n",
+    )
 
     # builtin sum over Python floats in frame order, not the pairwise np.sum
-    sums = dict(zip(("l_total", "l_passenger", "l_environment", "supply"), map(sum, columns)))
+    sums = {name: sum(getattr(signature, name).tolist()) for name in names[:-1]}
     shares = {}
     if sums["l_total"] != 0.0:
         shares = {
@@ -274,23 +274,6 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
         },
     )
     print(f"wrote signature.csv ({len(series) - 1} frames) and summary.json")
-
-
-def _signature_blocks(series: FrameSeries, columns: list[list[float]]) -> Iterable[str]:
-    """signature.csv text, header first, then _BLOCK_ROWS rows at a time,
-    each formatted column by column: isoformat stamps, mode values, and
-    repr of each float."""
-    yield "timestamp,mode,l_total,l_passenger,l_environment,supply,residual\n"
-    micros = series.micros
-    mode_value = {mode: mode.value for mode in HvacMode}
-    for lo in range(0, len(columns[0]), _BLOCK_ROWS):
-        hi = min(lo + _BLOCK_ROWS, len(columns[0]))
-        block = [
-            isoformat_utc(micros[lo:hi]),
-            list(map(mode_value.__getitem__, series.mode[lo:hi])),
-            *(list(map(repr, column[lo:hi])) for column in columns),
-        ]
-        yield "\n".join(map(",".join, zip(*block))) + "\n"
 
 
 def _coefficient_errors(estimate: Theta, truth: Theta) -> dict:
@@ -316,7 +299,7 @@ def cmd_eval(config: RunConfig, dataset: str, truth_path: str, out_dir: str) -> 
         matches = (
             described.get("rows") == len(series)
             and described.get("step") == series.step
-            and described.get("start") == series.start.astimezone(timezone.utc).isoformat()
+            and described.get("start") == isoformat_utc(time_axis(series.start, series.step, 1))[0]
         )
         if not matches:
             raise ConfigError(

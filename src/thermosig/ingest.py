@@ -14,10 +14,10 @@ write_records_csv writes a table back, column by column.
 
 Time is kept as int64 microseconds since the epoch, in UTC. A series
 stores only its start and step, and time_axis derives every frame's
-instant from them. isoformat_utc formats a whole column of instants at
-once: write_records_csv uses it for dataset.csv, and the signature
-command for signature.csv, which it writes in fixed blocks of rows. No
-per-frame datetime is built on the way from a CSV to an artifact.
+instant from them. No per-frame datetime is built on the way from a CSV
+to an artifact. write_columns writes every CSV artifact, formatting
+blocks of rows a column at a time: isoformat_utc for instants and
+format_floats for numbers.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -36,6 +36,7 @@ from .errors import (
     BadTimestamp,
     EmptyAnchors,
     GapTooLong,
+    IoError,
     MisalignedTimestamp,
     MissingColumn,
     NegativeValue,
@@ -48,6 +49,9 @@ _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
 _MICROSECOND = timedelta(microseconds=1)
 US_PER_S = 1_000_000
 US_PER_HOUR = 3600 * US_PER_S
+# CSV rows formatted and written at a time: enough to amortize a write,
+# few enough that a block's strings stay a small share of memory
+_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -359,8 +363,24 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     )
 
 
-def _format_column(values: np.ndarray) -> list[str]:
+def format_floats(values: np.ndarray) -> list[str]:
+    """repr of each float, and an empty cell where it is NaN."""
     return [repr(value) if value == value else "" for value in values.tolist()]
+
+
+def write_columns(path: str, header: list[str], columns: list[tuple[Callable, np.ndarray]], terminator: str) -> None:
+    """Write a CSV of (format, values) columns, each line ended by terminator:
+    the header through csv.writer, which quotes the names that need it, then
+    _BLOCK_ROWS rows at a time, each column's cells made by its format. Those
+    cells never need quoting. Raises IoError naming the path."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            csv.writer(handle, lineterminator=terminator).writerow(header)
+            for lo in range(0, len(columns[0][1]), _BLOCK_ROWS):
+                block = [format_cells(values[lo:lo + _BLOCK_ROWS]) for format_cells, values in columns]
+                handle.write(terminator.join(map(",".join, zip(*block))) + terminator)
+    except OSError as exc:
+        raise IoError(path, str(exc)) from None
 
 
 def write_records_csv(table: RecordTable, path: str, schema: CsvSchema = CsvSchema()) -> None:
@@ -375,23 +395,10 @@ def write_records_csv(table: RecordTable, path: str, schema: CsvSchema = CsvSche
     header += [f"{schema.outdoor_prefix}{i}" for i in range(1, m + 1)]
     header += [schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v, schema.passengers]
 
-    columns = [isoformat_utc(table.timestamp.view(np.int64))]
-    columns += [
-        _format_column(values)
-        for values in (
-            *table.indoor.T,
-            *table.outdoor.T,
-            table.t_water_in,
-            table.t_water_out,
-            table.v_cool_w,
-            table.e_v,
-            table.passengers,
-        )
-    ]
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+    floats = [*table.indoor.T, *table.outdoor.T]
+    floats += [table.t_water_in, table.t_water_out, table.v_cool_w, table.e_v, table.passengers]
+    columns = [(isoformat_utc, table.timestamp.view(np.int64)), *((format_floats, values) for values in floats)]
+    write_columns(path, header, columns, "\r\n")
 
 
 def _row_means(block: np.ndarray) -> np.ndarray:

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import thermosig.cli
+import thermosig.ingest
 from thermosig.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, main
 
 CONSTANTS = {"c": 1.21, "m_z": 12000.0, "t_p": 37.0, "beta_v": 100.0, "step": 60.0}
@@ -131,13 +132,22 @@ class TestSignature:
         assert code == EXIT_OK
 
     def test_block_size_does_not_change_the_bytes(self, day_run, monkeypatch):
-        argv = ["signature", "--config", day_run.config, "--dataset", day_run.dataset, "--theta", day_run.truth]
-        assert main([*argv, "--out", str(day_run.root / "one-block")]) == EXIT_OK
-        # 1440 rows in blocks of 7: 205 full blocks and a short last one
-        monkeypatch.setattr(thermosig.cli, "_BLOCK_ROWS", 7)
-        assert main([*argv, "--out", str(day_run.root / "short-blocks")]) == EXIT_OK
-        for name in ("signature.csv", "summary.json"):
-            assert (day_run.root / "short-blocks" / name).read_bytes() == (day_run.root / "one-block" / name).read_bytes()
+        def run_all(out):
+            config = ["--config", day_run.config, "--out", str(out)]
+            dataset = ["--dataset", str(out / "dataset.csv")]
+            assert main(["simulate", *config]) == EXIT_OK
+            assert main(["fit", *config, *dataset]) == EXIT_OK
+            assert main(["signature", *config, *dataset, "--theta", str(out / "truth.json")]) == EXIT_OK
+
+        run_all(day_run.root / "default-blocks")
+        # blocks of 7: 1441 dataset rows, 3600 surface rows and 1440 signature
+        # rows each end on a short block
+        monkeypatch.setattr(thermosig.ingest, "_BLOCK_ROWS", 7)
+        run_all(day_run.root / "short-blocks")
+        for name in ("dataset.csv", "error_surface.csv", "signature.csv", "summary.json"):
+            assert (day_run.root / "short-blocks" / name).read_bytes() == (
+                day_run.root / "default-blocks" / name
+            ).read_bytes()
 
 
 class TestEval:
@@ -201,6 +211,38 @@ class TestExitCodes:
         config.write_text(json.dumps({"grid": {"cells": 0}}))
         assert main(["fit", "--config", str(config), "--dataset", "x.csv",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("mode_filter", 5),
+            ("mode_filter", "refrigerator"),
+            ("mode_filter", ["refrigerator", "freezer"]),
+            ("out_dir", None),
+            ("max_gap", 2.7),
+            ("max_gap", -1),
+            ("max_gap", True),
+        ],
+    )
+    def test_bad_config_value(self, key, value, tmp_path, capsys):
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps({key: value}))
+        assert main(["fit", "--config", str(config), "--dataset", "x.csv",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("artifact", ["dataset.csv", "error_surface.csv", "signature.csv"])
+    def test_failed_write_is_io(self, artifact, day_run, tmp_path, capsys):
+        argv = {
+            "dataset.csv": ["simulate"],
+            "error_surface.csv": ["fit", "--dataset", day_run.dataset],
+            "signature.csv": ["signature", "--dataset", day_run.dataset, "--theta", day_run.truth],
+        }[artifact]
+        # a directory where the artifact should go makes its open fail
+        blocked = tmp_path / artifact
+        blocked.mkdir()
+        assert main([*argv, "--config", day_run.config, "--out", str(tmp_path)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"io error: {blocked}: ")
 
     def test_dataset_without_active_cooling_is_degenerate(self, tmp_path):
         # a plant that never switches on leaves nothing to fit against

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from thermosig import (
+    CsvSchema,
     HvacMode,
     HvacPlant,
     NoiseModel,
@@ -209,6 +210,15 @@ class TestCsvRoundTrip:
         assert len(ends) == 24
         for end in ends:
             assert math.fsum(rebuilt.n[end - steps_per_hour:end].tolist()) == anchors[end]
+
+    def test_header_names_that_need_quoting_round_trip(self, tmp_path):
+        # a comma, quotes and a newline in the names: csv quoting must carry them
+        schema = CsvSchema(timestamp='time, "utc"', e_v="e_v\n(kW)")
+        scenario = _one_day(seed=9)
+        series, anchors = simulate(scenario)
+        path = str(tmp_path / "quoted.csv")
+        emit_csv(series, anchors, path, schema)
+        assert build_frames(parse_csv(path, schema), scenario.constants) == series
 
 
 class TestScenarioSerialization:
