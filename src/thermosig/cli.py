@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from .core import HvacMode, LoadSignature, StationConstants, Theta
+from .core import HvacMode, LoadSignature, StationConstants, Theta, from_json
 from .errors import (
     ConfigError,
     IngestError,
@@ -32,7 +32,7 @@ from .ingest import (
 )
 from .models import balance_target, load, supply
 from .regression import FitResult, GridSpec, assemble, grid_fit, integrate, objective
-from .synth import Scenario, emit_csv, scenario_from_dict, simulate
+from .synth import Scenario, emit_csv, simulate
 
 EXIT_OK = 0
 EXIT_IO = 1
@@ -50,15 +50,12 @@ class RunConfig:
     grid: GridSpec = GridSpec()
     mode_filter: frozenset[HvacMode] = frozenset({HvacMode.REFRIGERATOR})
     scenario: Optional[Scenario] = None
-    out_dir: Optional[str] = None
+    out_dir: str = "."
     max_gap: int = 5
 
-
-def _build(section: str, builder, raw: dict):
-    try:
-        return builder(**raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {section!r} section: {exc}") from None
+    def __post_init__(self):
+        if self.max_gap < 0:
+            raise ValueError(f"max_gap must be >= 0, got {self.max_gap}")
 
 
 def _read_json(path: str):
@@ -67,51 +64,16 @@ def _read_json(path: str):
             return json.load(handle)
     except OSError as exc:
         raise IoError(path, str(exc)) from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
 
 def load_config(path: str) -> RunConfig:
     data = _read_json(path)
-    if not isinstance(data, dict):
-        raise ConfigError(f"{path}: top level must be an object")
-
-    kwargs = {}
-    if "constants" in data:
-        kwargs["constants"] = _build("constants", StationConstants, data.pop("constants"))
-    if "schema" in data:
-        kwargs["schema"] = _build("schema", CsvSchema, data.pop("schema"))
-    if "mode_rule" in data:
-        kwargs["mode_rule"] = _build("mode_rule", ModeRule, data.pop("mode_rule"))
-    if "grid" in data:
-        kwargs["grid"] = _build("grid", GridSpec, data.pop("grid"))
-    if "mode_filter" in data:
-        names = data.pop("mode_filter")
-        if not isinstance(names, list):
-            raise ConfigError(f"mode_filter must be a list of mode names, got {names!r}")
-        try:
-            kwargs["mode_filter"] = frozenset(HvacMode(name) for name in names)
-        except ValueError as exc:
-            raise ConfigError(f"bad mode_filter: {exc}") from None
-    if "scenario" in data:
-        try:
-            kwargs["scenario"] = scenario_from_dict(data.pop("scenario"))
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad scenario: {exc}") from None
-    if "out_dir" in data:
-        out_dir = data.pop("out_dir")
-        if not isinstance(out_dir, str):
-            raise ConfigError(f"out_dir must be a string, got {out_dir!r}")
-        kwargs["out_dir"] = out_dir
-    if "max_gap" in data:
-        max_gap = data.pop("max_gap")
-        # a JSON integer: neither a float nor a boolean, which Python counts as an int
-        if type(max_gap) is not int or max_gap < 0:
-            raise ConfigError(f"max_gap must be an integer >= 0, got {max_gap!r}")
-        kwargs["max_gap"] = max_gap
-    if data:
-        raise ConfigError(f"unknown config keys: {sorted(data)}")
-    return RunConfig(**kwargs)
+    try:
+        return from_json(RunConfig, data, "config")
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def _thread_count() -> int:
@@ -150,8 +112,6 @@ def _theta_from(data, path: str) -> Theta:
 
 
 def _load_frames(config: RunConfig, dataset: str) -> FrameSeries:
-    if not os.path.exists(dataset):
-        raise IoError(dataset, "no such file")
     table = parse_csv(dataset, config.schema)
     return build_frames(table, config.constants, rule=config.mode_rule, max_gap=config.max_gap)
 
@@ -377,7 +337,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        out_dir = args.out or config.out_dir or "."
+        out_dir = args.out or config.out_dir
         if args.command == "simulate":
             cmd_simulate(config, out_dir)
         elif args.command == "fit":

@@ -2,12 +2,16 @@
 
 All types here are immutable: constants, coefficients and signatures get
 passed between ingestion, model evaluation, and fitting code without
-defensive copies.
+defensive copies. from_json is the one decoder from parsed JSON to any
+of the package's frozen dataclasses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import typing
+from dataclasses import dataclass, is_dataclass
+from datetime import datetime
 from enum import Enum
 
 import numpy as np
@@ -100,3 +104,58 @@ class LoadSignature:
         tolerance = np.maximum(1e-12 * np.maximum(np.abs(self.l_total), np.abs(parts)), 1e-9)
         if not ((self.l_total == parts) | (np.abs(self.l_total - parts) <= tolerance)).all():
             raise ValueError("l_total must equal l_passenger + l_environment")
+
+
+# the JSON value types a scalar field takes, and their name; a bool is no int here
+_JSON_TYPES = {float: ((int, float), "a finite number"), int: ((int,), "an integer"), str: ((str,), "a string")}
+
+
+def from_json(cls, raw, where: str):
+    """The dataclass cls from a parsed JSON object, nested dataclasses
+    decoded in turn. Omitted keys take their default; unknown keys, and
+    values that do not fit the field's type hint, raise ValueError naming
+    the key path (where.key.key). A float takes a finite JSON number,
+    kept as given; an int an integer, never a boolean; a str a string; a
+    datetime an ISO 8601 string; an Enum one of its values; a frozenset a
+    list; an Optional also null. A required key left out, or a range
+    check of __post_init__, raises "bad <where>: ...".
+    """
+    if not isinstance(raw, dict):
+        raise ValueError(f"{where} must be an object, got {raw!r}")
+    hints = typing.get_type_hints(cls)
+    unknown = sorted(set(raw) - set(hints))
+    if unknown:
+        raise ValueError(f"unknown {where} keys: {unknown}")
+    kwargs = {name: _decode(hints[name], value, f"{where}.{name}") for name, value in raw.items()}
+    try:
+        return cls(**kwargs)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"bad {where}: {exc}") from None
+
+
+def _decode(hint, value, where: str):
+    if typing.get_origin(hint) is typing.Union:
+        if value is None:
+            return None
+        (hint,) = set(typing.get_args(hint)) - {type(None)}
+    if is_dataclass(hint):
+        return from_json(hint, value, where)
+    if typing.get_origin(hint) is frozenset:
+        if not isinstance(value, list):
+            raise ValueError(f"{where} must be a list, got {value!r}")
+        return frozenset(_decode(typing.get_args(hint)[0], item, f"{where}[{i}]") for i, item in enumerate(value))
+    if issubclass(hint, Enum):
+        choices = [member.value for member in hint]
+        if value not in choices:
+            raise ValueError(f"{where} must be one of {choices}, got {value!r}")
+        return hint(value)
+    if hint is datetime:
+        try:
+            return datetime.fromisoformat(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{where} must be an ISO 8601 string, got {value!r}") from None
+    accepted, name = _JSON_TYPES[hint]
+    # json reads NaN and Infinity, which JSON itself does not have
+    if type(value) not in accepted or (type(value) is float and not math.isfinite(value)):
+        raise ValueError(f"{where} must be {name}, got {value!r}")
+    return value

@@ -27,6 +27,13 @@ class MissingColumn(IngestError):
         super().__init__(f"required column missing from header: {column!r}")
 
 
+class UnreadableRow(IngestError):
+    def __init__(self, row: int, reason: str):
+        self.row = row
+        self.reason = reason
+        super().__init__(f"row {row}: {reason}")
+
+
 class BadTimestamp(IngestError):
     def __init__(self, row: int, value: str):
         self.row = row

@@ -42,6 +42,7 @@ from .errors import (
     NegativeValue,
     OffClockAnchor,
     TooShort,
+    UnreadableRow,
     UnsortedAnchors,
 )
 
@@ -175,14 +176,14 @@ class FrameSeries:
             object.__setattr__(self, name, column)
         if length < 2:
             raise TooShort(length)
-        for name, rule, bad in (
-            *((name, "nonnegative", getattr(self, name) < 0) for name in ("n", "v_cool_w", "e_v")),
-            ("t_in", "finite", ~np.isfinite(self.t_in)),
-        ):
+        for name in CHANNELS:
+            values = getattr(self, name)
+            rule, bad = "finite", ~np.isfinite(values)
+            if name in ("n", "v_cool_w", "e_v"):
+                rule, bad = "finite and nonnegative", bad | (values < 0)
             if bad.any():
                 index = int(np.argmax(bad))
-                value = getattr(self, name)[index]
-                raise ValueError(f"channel {name!r} must be {rule}, got {value} at index {index}")
+                raise ValueError(f"channel {name!r} must be {rule}, got {values[index]} at index {index}")
 
     @property
     def delta(self) -> np.ndarray:
@@ -205,9 +206,9 @@ class FrameSeries:
 
 
 def _micros(ts: datetime) -> int:
-    """Microseconds since the epoch of ts; a naive ts is local time, as in
-    datetime.astimezone."""
-    return ((ts if ts.tzinfo else ts.astimezone()) - _EPOCH) // _MICROSECOND
+    """Microseconds since the epoch of ts; a naive ts is UTC, as in a CSV
+    timestamp and Scenario.start."""
+    return ((ts if ts.tzinfo else ts.replace(tzinfo=timezone.utc)) - _EPOCH) // _MICROSECOND
 
 
 def time_axis(start: datetime, step: float, count: int) -> np.ndarray:
@@ -236,12 +237,9 @@ def _timestamp_micros(cell: str) -> Optional[int]:
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     try:
-        ts = datetime.fromisoformat(text)
+        return _micros(datetime.fromisoformat(text))
     except ValueError:
         return None
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return (ts - _EPOCH) // _MICROSECOND
 
 
 def _utc(micros: int) -> datetime:
@@ -280,47 +278,56 @@ def _channel_columns(header: list[str], prefix: str) -> list[int]:
 def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     """Read one dataset file into a RecordTable, rows in file order.
 
-    Blank rows are skipped and short rows padded with empty cells.
-    Raises MissingColumn for an incomplete header. Otherwise the first
-    faulty cell in file order raises BadTimestamp, BadNumber, or
+    A leading byte order mark is skipped. Blank rows are skipped and
+    short rows padded with empty cells. Raises IoError when the file
+    cannot be read, UnreadableRow at the first line that is not UTF-8 or
+    not CSV, and MissingColumn for an incomplete header. Otherwise the
+    first faulty cell in file order raises BadTimestamp, BadNumber, or
     NegativeValue (for counts and meter channels that must be
     nonnegative), with its physical row number; within a row the
     timestamp and the numbers are read before the signs are checked.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            reader = csv.reader(handle)
+            try:
+                header = [name.strip() for name in next(reader)]
+            except StopIteration:
+                raise MissingColumn(schema.timestamp) from None
+
+            indoor_cols = _channel_columns(header, schema.indoor_prefix)
+            outdoor_cols = _channel_columns(header, schema.outdoor_prefix)
+            if not indoor_cols:
+                raise MissingColumn(schema.indoor_prefix + "1")
+            if not outdoor_cols:
+                raise MissingColumn(schema.outdoor_prefix + "1")
+
+            positions = {}
+            for name in (schema.timestamp, schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v):
+                if name not in header:
+                    raise MissingColumn(name)
+                positions[name] = header.index(name)
+            passenger_col = header.index(schema.passengers) if schema.passengers in header else None
+
+            width = len(header)
+            rows, numbers = [], []
+            for row_number, cells in enumerate(reader, start=2):
+                if "".join(cells).strip():
+                    rows.append(cells + [""] * (width - len(cells)) if len(cells) < width else cells)
+                    numbers.append(row_number)
+    except OSError as exc:
+        raise IoError(path, str(exc)) from None
+    except UnicodeDecodeError:
+        # the text layer decodes in chunks, so the line of the first bad byte is found in the raw bytes
+        with open(path, "rb") as handle:
+            data = handle.read()
         try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(schema.timestamp) from None
-        header = [name.strip() for name in header]
-
-        indoor_cols = _channel_columns(header, schema.indoor_prefix)
-        outdoor_cols = _channel_columns(header, schema.outdoor_prefix)
-        if not indoor_cols:
-            raise MissingColumn(schema.indoor_prefix + "1")
-        if not outdoor_cols:
-            raise MissingColumn(schema.outdoor_prefix + "1")
-
-        positions = {}
-        for name in (
-            schema.timestamp,
-            schema.t_water_in,
-            schema.t_water_out,
-            schema.v_cool_w,
-            schema.e_v,
-        ):
-            if name not in header:
-                raise MissingColumn(name)
-            positions[name] = header.index(name)
-        passenger_col = header.index(schema.passengers) if schema.passengers in header else None
-
-        width = len(header)
-        rows, numbers = [], []
-        for row_number, cells in enumerate(reader, start=2):
-            if "".join(cells).strip():
-                rows.append(cells + [""] * (width - len(cells)) if len(cells) < width else cells)
-                numbers.append(row_number)
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnreadableRow(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}") from None
+        raise
+    except csv.Error as exc:
+        raise UnreadableRow(reader.line_num, str(exc)) from None
 
     columns = list(zip(*rows)) or [()] * width
     plant_cols = [positions[name] for name in (schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v)]

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StationConstants, Theta
+from .core import StationConstants, Theta, from_json
 from .errors import DivergedState, EmptySystem
 from .ingest import (
     US_PER_HOUR,
@@ -409,44 +409,9 @@ def emit_csv(
 
 
 def scenario_to_dict(scenario: Scenario) -> dict:
-    return {
-        "duration_steps": scenario.duration_steps,
-        "start": scenario.start.isoformat(),
-        "seed": scenario.seed,
-        "theta_true": asdict(scenario.theta_true),
-        "constants": asdict(scenario.constants),
-        "outdoor": asdict(scenario.outdoor),
-        "passengers": asdict(scenario.passengers),
-        "hvac": asdict(scenario.hvac),
-        "noise": asdict(scenario.noise),
-        "initial_t_in": scenario.initial_t_in,
-    }
+    return {**asdict(scenario), "start": scenario.start.isoformat()}
 
 
 def scenario_from_dict(raw: dict) -> Scenario:
-    """Build a Scenario from parsed JSON, applying defaults for any
-    omitted section. Unknown keys raise, catching config typos."""
-    data = dict(raw)
-    kwargs = {}
-    if "duration_steps" in data:
-        kwargs["duration_steps"] = int(data.pop("duration_steps"))
-    if "start" in data:
-        kwargs["start"] = datetime.fromisoformat(data.pop("start"))
-    if "seed" in data:
-        kwargs["seed"] = int(data.pop("seed"))
-    if "initial_t_in" in data:
-        value = data.pop("initial_t_in")
-        kwargs["initial_t_in"] = None if value is None else float(value)
-    for key, builder in (
-        ("theta_true", Theta),
-        ("constants", StationConstants),
-        ("outdoor", OutdoorProfile),
-        ("passengers", PassengerProfile),
-        ("hvac", HvacPlant),
-        ("noise", NoiseModel),
-    ):
-        if key in data:
-            kwargs[key] = builder(**data.pop(key))
-    if data:
-        raise ValueError(f"unknown scenario keys: {sorted(data)}")
-    return Scenario(**kwargs)
+    """A Scenario from parsed JSON, decoded by core.from_json."""
+    return from_json(Scenario, raw, "scenario")

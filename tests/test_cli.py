@@ -3,7 +3,9 @@
 import hashlib
 import inspect
 import json
+import re
 import warnings
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -11,7 +13,7 @@ import pytest
 
 import thermosig.cli
 import thermosig.ingest
-from thermosig.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, main
+from thermosig.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, load_config, main
 
 CONSTANTS = {"c": 1.21, "m_z": 12000.0, "t_p": 37.0, "beta_v": 100.0, "step": 60.0}
 SCENARIO = {"duration_steps": 1441, "constants": CONSTANTS}
@@ -222,14 +224,55 @@ class TestExitCodes:
             ("max_gap", 2.7),
             ("max_gap", -1),
             ("max_gap", True),
+            # values that crashed a later stage with a traceback
+            ("grid.cells", 2.5),
+            ("grid.refinement_passes", 1.5),
+            ("mode_rule.e_v_idle", "x"),
+            ("mode_rule.e_v_idle_fraction", "x"),
+            ("scenario.theta_true.c_p", "100"),
+            ("scenario.passengers.daily_total", 20.5),
+            ("scenario.outdoor.mean", "x"),
+            # values that were silently coerced
+            ("scenario.duration_steps", 2.7),
+            ("scenario.constants.step", True),
+            ("scenario.seed", "7"),
+            ("scenario.initial_t_in", "26"),
+            ("scenario.hvac.refrigerator_stages", 2.5),
+            # reported as a missing column of the dataset
+            ("schema.timestamp", 5),
+            # read by json as a float, then silently meaning "no noise" or "never idle"
+            ("scenario.noise.temp_std", float("nan")),
+            ("mode_rule.e_v_idle", float("nan")),
         ],
     )
     def test_bad_config_value(self, key, value, tmp_path, capsys):
+        # a dotted key nests: "grid.cells" is {"grid": {"cells": value}}
+        payload = value
+        for name in reversed(key.split(".")):
+            payload = {name: payload}
         config = tmp_path / "bad.json"
-        config.write_text(json.dumps({key: value}))
+        config.write_text(json.dumps(payload))
         assert main(["fit", "--config", str(config), "--dataset", "x.csv",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["signature", "eval"])
+    def test_undecodable_theta_file_is_config(self, command, day_run, tmp_path, capsys):
+        theta = tmp_path / "theta.json"
+        theta.write_bytes(b'{"theta": "\xff"}')
+        assert main([command, "--config", day_run.config, "--dataset", day_run.dataset,
+                     "--theta", str(theta), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert str(theta) in capsys.readouterr().err
+
+    def test_readme_config_loads(self, tmp_path):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+        (block,) = re.findall(r"```json\n(.*?)```", readme, re.S)
+        config = tmp_path / "config.json"
+        config.write_text(block, encoding="utf-8")
+        loaded = load_config(str(config))
+        assert loaded.scenario.duration_steps == 4321
+        assert loaded.scenario.noise.temp_quantization == 0.1
+        assert loaded.grid.cells == 200
 
     @pytest.mark.parametrize("artifact", ["dataset.csv", "error_surface.csv", "signature.csv"])
     def test_failed_write_is_io(self, artifact, day_run, tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 from datetime import datetime, timezone
+from typing import Optional
 
 import pytest
 
@@ -13,6 +14,7 @@ from thermosig import (
     Theta,
     theta_is_feasible,
 )
+from thermosig.core import from_json
 
 
 class TestStationConstants:
@@ -73,6 +75,15 @@ class TestFrame:
         {"e_v": -5.0},
         {"t_in": float("nan")},
         {"t_in": float("inf")},
+        # NaN passes a "< 0" check, and the other channels were not checked at all
+        {"n": float("nan")},
+        {"v_cool_w": float("nan")},
+        {"e_v": float("nan")},
+        {"e_v": float("inf")},
+        {"t_out": float("nan")},
+        {"t_out": -float("inf")},
+        {"t_water_in": float("nan")},
+        {"t_water_out": float("inf")},
     ])
     def test_rejects_bad_values(self, overrides):
         (channel,) = overrides
@@ -131,3 +142,45 @@ class TestLoadSignature:
                 supply=(200.0,),
                 residual=(30.0,),
             )
+
+
+class TestFromJson:
+    """The one decoder from parsed JSON to the package's dataclasses."""
+
+    def test_numbers_are_kept_as_given(self):
+        constants = from_json(StationConstants, {"c": 1, "m_z": 12000.5}, "constants")
+        assert constants == StationConstants(c=1, m_z=12000.5)
+        assert type(constants.c) is int
+
+    def test_omitted_keys_take_the_defaults(self):
+        assert from_json(StationConstants, {}, "constants") == StationConstants()
+
+    def test_nested_sections_enums_and_optionals(self):
+        @dataclasses.dataclass(frozen=True)
+        class Holder:
+            constants: StationConstants = StationConstants()
+            modes: frozenset[HvacMode] = frozenset()
+            start: Optional[datetime] = datetime(2021, 6, 1)
+
+        decoded = from_json(
+            Holder, {"constants": {"step": 30.0}, "modes": ["off", "mixed"], "start": None}, "holder"
+        )
+        assert decoded == Holder(StationConstants(step=30.0), frozenset({HvacMode.OFF, HvacMode.MIXED}), None)
+        later = from_json(Holder, {"start": "2021-06-02T05:30:00+05:30"}, "holder").start
+        assert later == datetime(2021, 6, 2, tzinfo=timezone.utc)
+
+    @pytest.mark.parametrize("cls, raw, message", [
+        (StationConstants, [], "config.x must be an object"),
+        (StationConstants, {"cc": 1.0}, r"unknown config.x keys: \['cc'\]"),
+        (StationConstants, {"step": True}, "config.x.step must be a finite number, got True"),
+        (StationConstants, {"step": "60"}, "config.x.step must be a finite number, got '60'"),
+        (StationConstants, {"step": None}, "config.x.step must be a finite number, got None"),
+        # Python's json reads these, and a range check like "temp_std < 0" lets NaN through
+        (StationConstants, {"step": float("nan")}, "config.x.step must be a finite number, got nan"),
+        (StationConstants, {"m_z": float("inf")}, "config.x.m_z must be a finite number, got inf"),
+        (StationConstants, {"step": 0}, "bad config.x: c, m_z, and step must be positive"),
+        (Theta, {"c_p": 1.0}, "bad config.x: .*missing 2 required"),
+    ])
+    def test_rejections_name_the_key_path(self, cls, raw, message):
+        with pytest.raises(ValueError, match=message):
+            from_json(cls, raw, "config.x")

@@ -2,6 +2,7 @@
 and frame assembly."""
 
 import math
+import time
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -26,11 +27,13 @@ from thermosig.errors import (
     BadTimestamp,
     EmptyAnchors,
     GapTooLong,
+    IoError,
     MisalignedTimestamp,
     MissingColumn,
     NegativeValue,
     OffClockAnchor,
     TooShort,
+    UnreadableRow,
     UnsortedAnchors,
 )
 from thermosig.ingest import CHANNELS, FrameSeries, _floor_hour, isoformat_utc, time_axis
@@ -188,6 +191,39 @@ class TestParseCsv:
             parse_csv(self._write(tmp_path, body))
         assert err.value.row == row
         assert getattr(err.value, "column", None) == column
+
+    @pytest.mark.parametrize("bad_line", [3, 400])
+    def test_non_utf8_byte_names_its_line(self, tmp_path, bad_line):
+        # line 400 lies past the first 8 KiB the text layer decodes
+        rows = [f"2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,{i}\n".encode() for i in range(2, 500)]
+        rows[bad_line - 2] = rows[bad_line - 2].replace(b"27", b"2\xff7", 1)
+        path = tmp_path / "data.csv"
+        path.write_bytes((self.HEADER + "\n").encode() + b"".join(rows))
+        with pytest.raises(UnreadableRow, match="not UTF-8") as err:
+            parse_csv(str(path))
+        assert err.value.row == bad_line
+
+    def test_oversized_field_names_its_line(self, tmp_path):
+        body = "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n" + "2021-06-01T09:01:00Z," + "7" * 131073 + ",27,33,12,7,0.4,0,\n"
+        with pytest.raises(UnreadableRow, match="field limit") as err:
+            parse_csv(self._write(tmp_path, body))
+        assert err.value.row == 3
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        body = "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n"
+        plain = parse_csv(self._write(tmp_path, body))
+        path = tmp_path / "excel.csv"
+        path.write_text(self.HEADER + "\n" + body, encoding="utf-8-sig")
+        assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert parse_csv(str(path)) == plain
+
+    @pytest.mark.parametrize("name", ["absent.csv", "directory"])
+    def test_unopenable_file_is_io_error(self, tmp_path, name):
+        (tmp_path / "directory").mkdir()
+        path = str(tmp_path / name)
+        with pytest.raises(IoError) as err:
+            parse_csv(path)
+        assert err.value.path == path
 
 
 class TestWriteRoundTrip:
@@ -549,6 +585,20 @@ class TestTimeAxis:
     def test_isoformat_of_the_axis_matches_timedelta_steps(self, instant, zone, step, count):
         start = instant.replace(tzinfo=timezone.utc).astimezone(zone)
         assert isoformat_utc(time_axis(start, step, count)) == _stepped_isoformat(start, step, count)
+
+    def test_naive_start_is_utc_whatever_the_local_zone(self, monkeypatch):
+        columns = {name: [1.0, 1.0] for name in CHANNELS}
+        try:
+            # a POSIX zone string needs no zone database: local time is UTC+05:30
+            monkeypatch.setenv("TZ", "IST-05:30")
+            time.tzset()
+            assert time.timezone == -19800
+            naive = FrameSeries(start=datetime(2021, 6, 1), step=60.0, mode=[HvacMode.OFF] * 2, **columns)
+            assert naive.micros.tolist() == time_axis(datetime(2021, 6, 1, tzinfo=timezone.utc), 60.0, 2).tolist()
+            assert isoformat_utc(naive.micros)[0] == "2021-06-01T00:00:00+00:00"
+        finally:
+            monkeypatch.undo()
+            time.tzset()
 
     def test_series_instants_follow_the_start_and_step(self):
         series = build_frames(_table([_record(0), _record(1), _record(2)]), CONSTANTS)
