@@ -15,8 +15,8 @@ from .ingest import (
     average_channels,
     build_frames,
     classify_mode,
-    interpolate_passengers,
     parse_csv,
+    spread_anchors,
     write_records_csv,
 )
 from .models import SupplyBreakdown, balance_target, fan_airflow, load, supply
@@ -55,8 +55,8 @@ __all__ = [
     "average_channels",
     "build_frames",
     "classify_mode",
-    "interpolate_passengers",
     "parse_csv",
+    "spread_anchors",
     "write_records_csv",
     "SupplyBreakdown",
     "balance_target",

@@ -103,12 +103,13 @@ def _ensure_out_dir(out_dir: str) -> None:
 
 
 def _theta_from(data, path: str) -> Theta:
-    """The theta section of a parsed fit.json or truth.json."""
+    """The theta section of a parsed fit.json or truth.json, decoded by
+    from_json; integer coefficients read back as floats."""
     try:
-        raw = data["theta"]
-        return Theta(c_p=float(raw["c_p"]), alpha=float(raw["alpha"]), beta_ac=float(raw["beta_ac"]))
+        theta = from_json(Theta, data["theta"], "theta")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"{path}: missing or malformed theta: {exc}") from None
+    return Theta(float(theta.c_p), float(theta.alpha), float(theta.beta_ac))
 
 
 def _load_frames(config: RunConfig, dataset: str) -> FrameSeries:

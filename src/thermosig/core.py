@@ -117,8 +117,9 @@ def from_json(cls, raw, where: str):
     the key path (where.key.key). A float takes a finite JSON number,
     kept as given; an int an integer, never a boolean; a str a string; a
     datetime an ISO 8601 string; an Enum one of its values; a frozenset a
-    list; an Optional also null. A required key left out, or a range
-    check of __post_init__, raises "bad <where>: ...".
+    list; an Optional also null. A range check of __post_init__ whose
+    message opens with a field's name raises "<where>.<field> ...";
+    any other, or a required key left out, raises "bad <where>: ...".
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{where} must be an object, got {raw!r}")
@@ -130,7 +131,8 @@ def from_json(cls, raw, where: str):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"bad {where}: {exc}") from None
+        named = str(exc).split(" ", 1)[0] in hints
+        raise ValueError(f"{where}.{exc}" if named else f"bad {where}: {exc}") from None
 
 
 def _decode(hint, value, where: str):

@@ -55,11 +55,6 @@ class NegativeValue(IngestError):
         super().__init__(f"row {row}, column {column!r}: negative value {value}")
 
 
-class EmptyAnchors(IngestError):
-    def __init__(self):
-        super().__init__("no hourly passenger anchors given")
-
-
 class UnsortedAnchors(IngestError):
     def __init__(self, at: datetime):
         self.at = at

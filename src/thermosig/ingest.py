@@ -5,8 +5,8 @@ The on-disk format is a UTF-8 comma CSV with a header. Temperature
 channels may repeat (t_in_1..k, t_out_1..m); empty cells mean missing.
 The optional passengers column is the anchor column: NaN except on the
 rows at the station's hour boundaries, each carrying the count for the
-hour ending at that timestamp. spread_anchors turns it into per-step
-counts, for build_frames and the simulator alike.
+hour ending at that timestamp. spread_anchors, the one spreader, turns
+it into per-step counts; the first anchor fixes where every hour starts.
 
 A file is read into a RecordTable, one array per column in file order,
 and build_frames turns the table into a FrameSeries on the step grid;
@@ -26,7 +26,7 @@ import csv
 import math
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -34,7 +34,6 @@ from .core import HvacMode, StationConstants
 from .errors import (
     BadNumber,
     BadTimestamp,
-    EmptyAnchors,
     GapTooLong,
     IoError,
     MisalignedTimestamp,
@@ -83,6 +82,14 @@ class ModeRule:
     e_v_idle: Optional[float] = None
     e_v_idle_fraction: float = 0.01
     water_activity_min: float = 0.0
+
+    def __post_init__(self):
+        if self.e_v_idle is not None and not self.e_v_idle >= 0:
+            raise ValueError(f"e_v_idle must be >= 0, got {self.e_v_idle}")
+        if not 0 <= self.e_v_idle_fraction < 1:
+            raise ValueError(f"e_v_idle_fraction must be in [0, 1), got {self.e_v_idle_fraction}")
+        if not self.water_activity_min >= 0:
+            raise ValueError(f"water_activity_min must be >= 0, got {self.water_activity_min}")
 
     def resolve(self, e_v_max: float) -> "ModeRule":
         if self.e_v_idle is not None:
@@ -270,7 +277,7 @@ def _float_column(cells: tuple[str, ...]) -> np.ndarray:
 def _channel_columns(header: list[str], prefix: str) -> list[int]:
     found = []
     for idx, name in enumerate(header):
-        if name.startswith(prefix) and name[len(prefix):].isdigit():
+        if name.startswith(prefix) and name[len(prefix):].isdecimal():
             found.append((int(name[len(prefix):]), idx))
     return [idx for _, idx in sorted(found)]
 
@@ -429,100 +436,43 @@ def average_channels(table: RecordTable) -> tuple[np.ndarray, np.ndarray]:
     return _row_means(table.indoor), _row_means(table.outdoor)
 
 
-def _floor_hour(ts: datetime) -> datetime:
-    return ts.replace(minute=0, second=0, microsecond=0)
-
-
-def interpolate_passengers(
-    hourly: Sequence[tuple[datetime, float]],
-    grid: Sequence[datetime],
-    step: Optional[float] = None,
-) -> list[float]:
-    """Spread hourly passenger counts over the step grid.
-
-    An anchor at hour boundary H carries the count for the hour ending
-    at H, so the grid steps starting in [H-1h, H) share it. Hours are
-    those of grid[0]'s own clock. Values are piecewise-linear between
-    anchors (held flat beyond the ends), then renormalized per hour so
-    the values of a fully covered hour sum to that hour's anchor count
-    exactly (under math.fsum). Hours only partially covered by the grid
-    get a proportional share.
-
-    Args:
-        hourly: (timestamp, count) anchors, strictly increasing in time.
-        grid: step start timestamps, sorted and uniformly spaced.
-        step: grid spacing in seconds; inferred from the grid when None.
-
-    Returns:
-        One nonnegative count per grid step.
+def spread_anchors(anchors: np.ndarray, start: datetime, step: float) -> np.ndarray:
+    """Per-step passenger counts on the grid of start + i * step seconds,
+    from an anchor column: NaN except on the rows at hour boundaries H, each
+    the count shared by the steps starting in [H-1h, H). The first anchor
+    fixes where the station's hours start; an anchor that is not a whole
+    number of hours after it raises OffClockAnchor. Values are
+    piecewise-linear between anchors (held flat beyond the ends), then
+    renormalized per hour so a fully covered hour sums to its count exactly
+    under math.fsum, and a partly covered one to its share of it. Without
+    anchors every count is zero.
     """
-    values = _spread_passengers(
-        np.array([_micros(ts) for ts, _ in hourly], dtype=np.int64),
-        np.array([float(count) for _, count in hourly]),
-        np.array([_micros(ts) for ts in grid], dtype=np.int64),
-        step,
-        _micros(_floor_hour(grid[0])) if grid else 0,
-    )
-    return values.tolist()
-
-
-def spread_anchors(anchors: np.ndarray, micros: np.ndarray, step: float) -> np.ndarray:
-    """Per-step passenger counts from an anchor column, as interpolate_passengers
-    spreads them. anchors is NaN except on the rows that carry the count for
-    the hour ending there; micros holds each row's instant.
-
-    The first anchor sits on an hour boundary of the station's clock, so it
-    fixes where every hour starts; an anchor that is not a whole number of
-    hours after it raises OffClockAnchor. Without anchors every count is zero.
-    """
+    if not step > 0:
+        raise ValueError(f"step must be positive, got {step}")
     rows = np.flatnonzero(~np.isnan(anchors))
     if not rows.size:
-        return np.zeros(len(micros))
-    anchor_us = micros[rows]
+        return np.zeros(len(anchors))
+    grid_us = time_axis(start, step, len(anchors))
+    anchor_us, counts = grid_us[rows], anchors[rows]
     off_clock = np.flatnonzero((anchor_us - anchor_us[0]) % US_PER_HOUR)
     if off_clock.size:
         raise OffClockAnchor(_utc(anchor_us[off_clock[0]]), _utc(anchor_us[0]))
-    floor_us = micros[0] - (micros[0] - anchor_us[0]) % US_PER_HOUR
-    return _spread_passengers(anchor_us, anchors[rows], micros, step, floor_us)
-
-
-def _spread_passengers(
-    anchor_us: np.ndarray,
-    counts: np.ndarray,
-    grid_us: np.ndarray,
-    step: Optional[float],
-    floor_us: int,
-) -> np.ndarray:
-    """interpolate_passengers on int64 microseconds since the epoch.
-    floor_us is the hour boundary at or before grid_us[0] on the grid's
-    clock; the grid's hours start from it."""
-    if not len(anchor_us):
-        raise EmptyAnchors()
+    # a step under a microsecond can put two anchor rows on one instant
     unsorted = np.flatnonzero(np.diff(anchor_us) <= 0)
     if unsorted.size:
         raise UnsortedAnchors(_utc(anchor_us[unsorted[0] + 1]))
     negative = np.flatnonzero(counts < 0)
     if negative.size:
         raise ValueError(f"anchor counts must be nonnegative, got {counts[negative[0]]}")
-    if not len(grid_us):
-        return np.zeros(0)
-    if step is None:
-        if len(grid_us) < 2:
-            raise ValueError("cannot infer the step from a single-point grid")
-        step = (grid_us[1] - grid_us[0]) / 1e6
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    if (np.abs(np.diff(grid_us) / 1e6 - step) > 1e-9).any():
-        raise ValueError("grid timestamps must be uniformly spaced")
 
     # seconds since the epoch, as datetime.timestamp() gives them
     anchor_s = anchor_us / 1e6
     raw = np.interp(grid_us / 1e6, anchor_s, counts)
 
-    # a sorted grid puts each hour's steps in one contiguous run
-    hour = (grid_us - floor_us) // US_PER_HOUR
-    bounds = np.append(np.flatnonzero(np.diff(hour, prepend=-1)), len(grid_us))
-    hour_ends = (floor_us + (hour[bounds[:-1]] + 1) * US_PER_HOUR) / 1e6
+    # hours counted from the first anchor's; a sorted grid puts each hour's steps in one run
+    hour = (grid_us - anchor_us[0]) // US_PER_HOUR
+    bounds = np.append(np.flatnonzero(np.diff(hour, prepend=hour[0] - 1)), len(grid_us))
+    hour_ends = (anchor_us[0] + (hour[bounds[:-1]] + 1) * US_PER_HOUR) / 1e6
     hour_counts = np.interp(hour_ends, anchor_s, counts)
 
     steps_per_hour = 3600.0 / step
@@ -629,7 +579,7 @@ def build_frames(
     channels = {
         name: _fill_gaps(column, start, step, max_gap) for name, column in zip(("t_in", "t_out", *plant), readings)
     }
-    n_per_step = spread_anchors(anchors, time_axis(start, step, n_steps), step)
+    n_per_step = spread_anchors(anchors, start, step)
 
     resolved = rule.resolve(float(channels["e_v"].max()))
     mode = classify_mode(

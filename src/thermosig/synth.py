@@ -10,10 +10,10 @@ only up to scale.
 
 Sensor noise touches only the emitted temperature channels; the latent
 state, actuator channels, and passenger counts stay exact. The hourly
-anchors are the CSV's passengers column, and the per-step counts are
-spread from it by the same spread_anchors the ingestion side calls, so a
-round trip through the CSV reproduces the frames bit for bit whatever
-the start's UTC offset.
+anchors are the CSV's passengers column, and the per-step counts come
+from spread_anchors(anchors, scenario.start, step), the call build_frames
+makes with the CSV's first timestamp, so a round trip through the CSV
+reproduces the frames bit for bit whatever the start's UTC offset.
 """
 
 from __future__ import annotations
@@ -88,6 +88,12 @@ class PassengerProfile:
             raise ValueError(f"kind must be 'weekday' or 'weekend', got {self.kind!r}")
         if self.daily_total < 0:
             raise ValueError("daily_total must be nonnegative")
+        if not (self.peak_width_hours > 0 and self.peak_width_hours**2 > 0):
+            raise ValueError(f"peak_width_hours must be positive, its square too, got {self.peak_width_hours}")
+        if not self.base_weight >= 0:
+            raise ValueError(f"base_weight must be nonnegative, got {self.base_weight}")
+        if not math.fsum(self.hourly_weights()) > 0:
+            raise ValueError("the hourly weights must have a positive total")
 
     def hourly_weights(self) -> list[float]:
         weights = []
@@ -265,7 +271,7 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, np.ndarray]:
     local_us = grid + scenario.start.utcoffset() // timedelta(microseconds=1)
 
     anchors = _hourly_anchors(scenario, local_us)
-    n_per_step = spread_anchors(anchors, grid, constants.step)
+    n_per_step = spread_anchors(anchors, scenario.start, constants.step)
     if scenario.passengers.daily_total > 0 and np.isnan(anchors).all():
         warnings.warn(
             "no grid row falls on an hour boundary; passenger counts are all zero",

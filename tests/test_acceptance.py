@@ -24,10 +24,10 @@ from thermosig import (
     fan_airflow,
     grid_fit,
     integrate,
-    interpolate_passengers,
     load,
     objective,
     simulate,
+    spread_anchors,
     supply,
 )
 from thermosig.cli import EXIT_OK, main
@@ -203,19 +203,18 @@ def test_criterion_5_objective_is_exact_and_unit_invariant(reference_frames, ref
 def test_criterion_6_passenger_interpolation_conserves_counts():
     """For 100 random anchor sets every fully covered hour's per-step
     counts sum back to the anchor exactly."""
-    from datetime import datetime, timedelta, timezone
+    from datetime import datetime, timezone
 
     start = datetime(2021, 6, 1, 9, 0, tzinfo=timezone.utc)
-    grid = [start + timedelta(minutes=i) for i in range(360)]
     rng = np.random.default_rng(66)
     exact = True
     nonnegative = True
     for _ in range(100):
         counts = rng.integers(0, 20000, size=6)
-        anchors = [
-            (start + timedelta(hours=h + 1), float(c)) for h, c in enumerate(counts)
-        ]
-        values = interpolate_passengers(anchors, grid)
+        # a 361-row grid, so the 15:00 anchor sits on a row
+        anchors = np.full(361, np.nan)
+        anchors[60::60] = counts
+        values = spread_anchors(anchors, start, 60.0).tolist()
         nonnegative &= min(values) >= 0.0
         for hour, count in enumerate(counts):
             exact &= math.fsum(values[hour * 60:(hour + 1) * 60]) == float(count)

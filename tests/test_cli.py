@@ -243,6 +243,15 @@ class TestExitCodes:
             # read by json as a float, then silently meaning "no noise" or "never idle"
             ("scenario.noise.temp_std", float("nan")),
             ("mode_rule.e_v_idle", float("nan")),
+            # out of range: a misleading EmptySystem, a silently moved fit, or a traceback
+            ("mode_rule.e_v_idle", -1),
+            ("mode_rule.e_v_idle_fraction", -0.1),
+            ("mode_rule.e_v_idle_fraction", 1.0),
+            ("mode_rule.water_activity_min", -1),
+            ("scenario.passengers.peak_width_hours", 0),
+            ("scenario.passengers.peak_width_hours", 1e-200),
+            ("scenario.passengers.base_weight", -0.5),
+            ("scenario.passengers", {"kind": "weekend", "base_weight": 0, "open_hour": 8, "close_hour": 8}),
         ],
     )
     def test_bad_config_value(self, key, value, tmp_path, capsys):
@@ -263,6 +272,28 @@ class TestExitCodes:
         assert main([command, "--config", day_run.config, "--dataset", day_run.dataset,
                      "--theta", str(theta), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert str(theta) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["signature", "eval"])
+    @pytest.mark.parametrize("key, value", [("c_p", True), ("alpha", "50"), ("beta_ac", float("nan")), ("gamma", 1.0)])
+    def test_mistyped_theta_is_config(self, command, key, value, day_run, tmp_path, capsys):
+        truth = json.loads(Path(day_run.truth).read_text(encoding="utf-8"))
+        truth["theta"][key] = value
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps(truth), encoding="utf-8")
+        assert main([command, "--config", day_run.config, "--dataset", day_run.dataset,
+                     "--theta", str(theta), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command, artifact", [("signature", "summary.json"), ("eval", "eval.json")])
+    def test_integer_theta_reads_as_floats(self, command, artifact, day_run, tmp_path):
+        truth = json.loads(Path(day_run.truth).read_text(encoding="utf-8"))
+        truth["theta"] = {name: int(value) for name, value in truth["theta"].items()}
+        theta = tmp_path / "truth.json"
+        theta.write_text(json.dumps(truth), encoding="utf-8")
+        for source, out in ((day_run.truth, tmp_path / "floats"), (str(theta), tmp_path / "integers")):
+            assert main([command, "--config", day_run.config, "--dataset", day_run.dataset,
+                         "--theta", source, "--out", str(out)]) == EXIT_OK
+        assert (tmp_path / "integers" / artifact).read_bytes() == (tmp_path / "floats" / artifact).read_bytes()
 
     def test_readme_config_loads(self, tmp_path):
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")

@@ -180,6 +180,8 @@ class TestFromJson:
         (StationConstants, {"m_z": float("inf")}, "config.x.m_z must be a finite number, got inf"),
         (StationConstants, {"step": 0}, "bad config.x: c, m_z, and step must be positive"),
         (Theta, {"c_p": 1.0}, "bad config.x: .*missing 2 required"),
+        # a range check that opens with its field's name is reported at that field
+        (StationConstants, {"beta_v": -1.0}, "^config.x.beta_v must be nonnegative$"),
     ])
     def test_rejections_name_the_key_path(self, cls, raw, message):
         with pytest.raises(ValueError, match=message):

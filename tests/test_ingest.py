@@ -18,14 +18,13 @@ from thermosig import (
     average_channels,
     build_frames,
     classify_mode,
-    interpolate_passengers,
     parse_csv,
+    spread_anchors,
     write_records_csv,
 )
 from thermosig.errors import (
     BadNumber,
     BadTimestamp,
-    EmptyAnchors,
     GapTooLong,
     IoError,
     MisalignedTimestamp,
@@ -36,18 +35,15 @@ from thermosig.errors import (
     UnreadableRow,
     UnsortedAnchors,
 )
-from thermosig.ingest import CHANNELS, FrameSeries, _floor_hour, isoformat_utc, time_axis
+from thermosig.ingest import CHANNELS, FrameSeries, isoformat_utc, time_axis
 
 T0 = datetime(2021, 6, 1, 9, 0, tzinfo=timezone.utc)
 CONSTANTS = StationConstants(step=60.0)
+PLUS_0530 = timezone(timedelta(hours=5, minutes=30))
 
 
 def _ts(minutes: float) -> datetime:
     return T0 + timedelta(minutes=minutes)
-
-
-def _grid(count: int, start: datetime = T0, step_minutes: float = 1.0):
-    return [start + timedelta(minutes=i * step_minutes) for i in range(count)]
 
 
 def _record(minutes: float, t_in=27.0, t_out=33.0, t_water_in=12.0,
@@ -130,6 +126,13 @@ class TestParseCsv:
         path.write_text("timestamp,t_out_1,t_water_in,t_water_out,v_cool_w,e_v\n")
         with pytest.raises(MissingColumn):
             parse_csv(str(path))
+
+    def test_non_decimal_channel_suffix_is_ignored(self, tmp_path):
+        # "²".isdigit() holds, but int("²") fails
+        path = tmp_path / "data.csv"
+        path.write_text("timestamp,t_in_1,t_in_²,t_out_1,t_water_in,t_water_out,v_cool_w,e_v\n"
+                        "2021-06-01T09:00:00Z,27,99,33,12,7,0.4,0\n", encoding="utf-8")
+        assert parse_csv(str(path)).indoor.tolist() == [[27.0]]
 
     def test_bad_timestamp_reports_physical_row(self, tmp_path):
         path = self._write(
@@ -293,15 +296,18 @@ class TestAverageChannels:
         assert build_frames(_table(records), CONSTANTS).t_in.tolist() == [30.0, 31.0, 32.0]
 
 
-def _reference_interpolation(hourly, grid, step):
-    """interpolate_passengers written plainly: group the steps by
-    _floor_hour(ts) + 1h, the boundary that ends their hour."""
-    anchor_s = np.array([ts.timestamp() for ts, _ in hourly])
-    counts = np.array([float(count) for _, count in hourly])
+def _reference_interpolation(anchors, grid, step):
+    """spread_anchors written plainly on datetimes: the station's hours
+    start at the first anchor, and each step joins the boundary that ends
+    its hour."""
+    rows = [i for i, count in enumerate(anchors) if not math.isnan(count)]
+    first = grid[rows[0]]
+    anchor_s = np.array([grid[i].timestamp() for i in rows])
+    counts = np.array([anchors[i] for i in rows])
     raw = np.interp(np.array([ts.timestamp() for ts in grid]), anchor_s, counts)
     buckets = {}
     for idx, ts in enumerate(grid):
-        buckets.setdefault(_floor_hour(ts) + timedelta(hours=1), []).append(idx)
+        buckets.setdefault(first + timedelta(hours=(ts - first) // timedelta(hours=1) + 1), []).append(idx)
     values = np.zeros(len(grid))
     for bucket_end, indices in buckets.items():
         hour_count = float(np.interp(bucket_end.timestamp(), anchor_s, counts))
@@ -323,91 +329,115 @@ def _reference_interpolation(hourly, grid, step):
     return [float(v) for v in values]
 
 
+def _anchor_column(count: int, anchors: dict) -> np.ndarray:
+    """A passengers column of count rows: NaN except on the given rows."""
+    column = np.full(count, np.nan)
+    for row, value in anchors.items():
+        column[row] = value
+    return column
+
+
 class TestInterpolatePassengers:
+    """spread_anchors, the one spreader of the passengers anchor column."""
+
     def test_flat_hours_sum_exactly(self):
-        anchors = [(_ts(60), 600.0), (_ts(120), 600.0)]
-        values = interpolate_passengers(anchors, _grid(120))
+        values = spread_anchors(_anchor_column(121, {60: 600.0, 120: 600.0}), T0, 60.0).tolist()
         assert math.fsum(values[:60]) == 600.0
-        assert math.fsum(values[60:]) == 600.0
+        assert math.fsum(values[60:120]) == 600.0
         assert all(v == pytest.approx(10.0) for v in values)
 
     def test_ramp_hour_sums_exactly(self):
         # counts climb 0 -> 120 across the second hour
-        anchors = [(_ts(60), 0.0), (_ts(120), 120.0)]
-        values = interpolate_passengers(anchors, _grid(120))
+        values = spread_anchors(_anchor_column(121, {60: 0.0, 120: 120.0}), T0, 60.0).tolist()
         assert math.fsum(values[:60]) == 0.0
-        assert math.fsum(values[60:]) == 120.0
+        assert math.fsum(values[60:120]) == 120.0
         assert values[60] == 0.0
-        assert values[-1] > values[61]
+        assert values[119] > values[61]
 
     def test_single_anchor_spreads_over_its_hour(self):
-        values = interpolate_passengers([(_ts(60), 5.0)], _grid(60))
-        assert math.fsum(values) == 5.0
+        values = spread_anchors(_anchor_column(61, {60: 5.0}), T0, 60.0).tolist()
+        assert math.fsum(values[:60]) == 5.0
         assert max(values) == pytest.approx(min(values))
 
     def test_partial_hour_gets_proportional_share(self):
         # only the second half of the hour is on the grid
-        values = interpolate_passengers([(_ts(60), 600.0)], _grid(30, start=_ts(30)))
-        assert math.fsum(values) == 300.0
+        values = spread_anchors(_anchor_column(31, {30: 600.0}), _ts(30), 60.0).tolist()
+        assert math.fsum(values[:30]) == 300.0
 
     def test_flat_hold_beyond_last_anchor(self):
-        values = interpolate_passengers([(_ts(60), 60.0)], _grid(180))
+        values = spread_anchors(_anchor_column(180, {60: 60.0}), T0, 60.0).tolist()
         assert math.fsum(values) == pytest.approx(180.0)
 
     def test_count_step_jump_falls_back_to_uniform(self):
-        # zero counts until one minute before the boundary, then a jump:
-        # the raw shape is identically zero, the hour total is not
-        anchors = [(_ts(59), 0.0), (_ts(60), 60.0)]
-        values = interpolate_passengers(anchors, _grid(59))
-        assert math.fsum(values) > 0.0
-        assert max(values[:-1]) == min(values[:-1])
+        # one step an hour: the hour ending at the 60 starts on the 0, so
+        # its raw shape is zero while its total is not
+        values = spread_anchors(np.array([math.nan, 0.0, 60.0]), T0, 3600.0).tolist()
+        assert values == [0.0, 60.0, 60.0]
 
     def test_conservation_over_random_anchor_sets(self):
         rng = np.random.default_rng(21)
         for _ in range(25):
             counts = rng.integers(0, 5000, size=6)
-            anchors = [(_ts(60 * (h + 1)), float(c)) for h, c in enumerate(counts)]
-            values = interpolate_passengers(anchors, _grid(360))
+            values = spread_anchors(_anchor_column(361, dict(zip(range(60, 361, 60), counts))), T0, 60.0).tolist()
             for hour, count in enumerate(counts):
                 assert math.fsum(values[hour * 60:(hour + 1) * 60]) == float(count)
 
-    @pytest.mark.parametrize("start,step,count", [
-        (T0 + timedelta(minutes=17, seconds=30), 60.0, 400),
-        (datetime(2021, 6, 1, 9, 10, tzinfo=timezone(timedelta(hours=5, minutes=30))), 60.0, 400),
-        (datetime(2021, 6, 1, 9, 10), 60.0, 400),
-        (T0 + timedelta(minutes=17), 120.0, 250),
+    @pytest.mark.parametrize("start,step,count,first", [
+        (T0 + timedelta(minutes=17, seconds=30), 60.0, 400, 12),
+        (datetime(2021, 6, 1, 9, 10, tzinfo=PLUS_0530), 60.0, 400, 50),
+        (datetime(2021, 6, 1, 9, 10), 60.0, 400, 50),
+        (T0 + timedelta(minutes=17), 120.0, 250, 7),
     ], ids=["mid-hour", "plus-0530", "naive", "step-120"])
-    def test_matches_the_per_hour_reference(self, start, step, count):
+    def test_matches_the_per_hour_reference(self, start, step, count, first):
         rng = np.random.default_rng(5)
-        grid = [start + timedelta(seconds=i * step) for i in range(count)]
-        # anchors on grid[0]'s own hour boundaries, some hours silent
-        first = _floor_hour(start) + timedelta(hours=1)
-        anchors = [(first + timedelta(hours=h), float(rng.integers(0, 3) * rng.integers(0, 900)))
-                   for h in range(int(count * step // 3600) + 1)]
-        values = interpolate_passengers(anchors, grid, step=step)
-        assert values == _reference_interpolation(anchors, grid, step)
-        assert interpolate_passengers(anchors, grid) == values
+        # anchors every hour from the first, some hours silent
+        rows = range(first, count, round(3600 / step))
+        anchors = _anchor_column(count, {row: float(rng.integers(0, 3) * rng.integers(0, 900)) for row in rows})
+        aware = start if start.tzinfo else start.replace(tzinfo=timezone.utc)
+        grid = [aware + timedelta(seconds=i * step) for i in range(count)]
+        assert spread_anchors(anchors, start, step).tolist() == _reference_interpolation(anchors, grid, step)
 
-    def test_empty_anchor_list_rejected(self):
-        with pytest.raises(EmptyAnchors):
-            interpolate_passengers([], _grid(10))
+    @settings(max_examples=150, deadline=None)
+    @given(
+        step=st.sampled_from([60.0, 120.0, 3600.0]),
+        zone=st.sampled_from([timezone.utc, PLUS_0530]),
+        start_us=st.integers(min_value=0, max_value=86_400_000_000 - 1),
+        first=st.integers(min_value=0, max_value=59),
+        hours=st.lists(st.none() | st.integers(min_value=0, max_value=20000), min_size=1, max_size=6),
+        tail=st.integers(min_value=0, max_value=70),
+    )
+    def test_random_anchor_columns_match_the_reference(self, step, zone, start_us, first, hours, tail):
+        per_hour = round(3600 / step)
+        first %= per_hour
+        count = first + (len(hours) - 1) * per_hour + 1 + tail
+        anchors = _anchor_column(count, {first + h * per_hour: float(c) for h, c in enumerate(hours) if c is not None})
+        start = datetime(2021, 6, 1, tzinfo=zone) + timedelta(microseconds=start_us)
+        values = spread_anchors(anchors, start, step).tolist()
+        if np.isnan(anchors).all():
+            assert values == [0.0] * count
+            return
+        grid = [start + timedelta(seconds=i * step) for i in range(count)]
+        assert values == _reference_interpolation(anchors, grid, step)
+        # every hour wholly on the grid sums back to the anchor that ends it
+        for row in np.flatnonzero(~np.isnan(anchors)).tolist():
+            if row >= per_hour:
+                assert math.fsum(values[row - per_hour:row]) == anchors[row]
+
+    def test_no_anchors_give_zero_counts(self):
+        assert spread_anchors(np.full(10, np.nan), T0, 60.0).tolist() == [0.0] * 10
 
     def test_unsorted_anchors_rejected(self):
-        anchors = [(_ts(120), 10.0), (_ts(60), 10.0)]
-        with pytest.raises(UnsortedAnchors):
-            interpolate_passengers(anchors, _grid(10))
+        # a step under a microsecond puts the first two rows on one instant
+        with pytest.raises(UnsortedAnchors) as err:
+            spread_anchors(_anchor_column(3, {0: 10.0, 1: 10.0}), T0, 1e-7)
+        assert err.value.at == T0
 
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError, match="nonnegative"):
-            interpolate_passengers([(_ts(60), -1.0)], _grid(10))
-
-    def test_irregular_grid_rejected(self):
-        grid = [_ts(0), _ts(1), _ts(3)]
-        with pytest.raises(ValueError, match="uniformly spaced"):
-            interpolate_passengers([(_ts(60), 10.0)], grid)
+            spread_anchors(_anchor_column(61, {60: -1.0}), T0, 60.0)
 
     def test_empty_grid_is_empty(self):
-        assert interpolate_passengers([(_ts(60), 10.0)], []) == []
+        assert spread_anchors(np.zeros(0), T0, 60.0).tolist() == []
 
 
 class TestClassifyMode:
@@ -565,7 +595,6 @@ def _stepped_isoformat(start: datetime, step: float, count: int) -> list[str]:
     return [(start + timedelta(seconds=i * step)).astimezone(timezone.utc).isoformat() for i in range(count)]
 
 
-PLUS_0530 = timezone(timedelta(hours=5, minutes=30))
 MINUS_0300 = timezone(timedelta(hours=-3))
 
 
