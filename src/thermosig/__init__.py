@@ -2,7 +2,6 @@
 
 from .core import (
     HvacMode,
-    LoadSignature,
     StationConstants,
     Theta,
     theta_is_feasible,
@@ -44,7 +43,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "HvacMode",
-    "LoadSignature",
     "StationConstants",
     "Theta",
     "theta_is_feasible",

@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from .core import HvacMode, LoadSignature, StationConstants, Theta, from_json
+from .core import HvacMode, StationConstants, Theta, from_json
 from .errors import (
     ConfigError,
     IngestError,
@@ -31,7 +31,7 @@ from .ingest import (
     CsvSchema, FrameSeries, ModeRule, build_frames, format_floats, isoformat_utc, parse_csv, time_axis, write_columns
 )
 from .models import balance_target, load, supply
-from .regression import FitResult, GridSpec, assemble, grid_fit, integrate, objective
+from .regression import FitResult, GridSpec, RegressionSystem, assemble, grid_fit, integrate, objective
 from .synth import Scenario, emit_csv, simulate
 
 EXIT_OK = 0
@@ -117,6 +117,10 @@ def _load_frames(config: RunConfig, dataset: str) -> FrameSeries:
     return build_frames(table, config.constants, rule=config.mode_rule, max_gap=config.max_gap)
 
 
+def _system(config: RunConfig, series: FrameSeries) -> RegressionSystem:
+    return integrate(assemble(series, config.constants, config.mode_filter))
+
+
 def _fit_payload(result: FitResult) -> dict:
     return {
         "theta": asdict(result.theta),
@@ -155,15 +159,11 @@ def cmd_simulate(config: RunConfig, out_dir: str) -> None:
 def cmd_fit(config: RunConfig, dataset: str, out_dir: str, use_integrated: bool) -> FitResult:
     """Fit the dataset and write fit.json plus the initial error surface."""
     series = _load_frames(config, dataset)
-    system = assemble(series, config.constants, config.mode_filter)
-    if use_integrated:
-        system = integrate(system)
     result = grid_fit(
-        system,
+        _system(config, series),
         grid=config.grid,
         use_integrated=use_integrated,
         threads=_thread_count(),
-        collect_surface=True,
     )
     _ensure_out_dir(out_dir)
     _write_json(os.path.join(out_dir, "fit.json"), _fit_payload(result))
@@ -186,38 +186,36 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
     summary.json, one row per frame that has a delta."""
     theta = _theta_from(_read_json(theta_path), theta_path)
     series = _load_frames(config, dataset)
-    l_total, l_pil, l_eil = load(series, theta, config.constants)
-    supplied = supply(series, theta, config.constants).total
-    signature = LoadSignature(
-        l_total=l_total[:-1],
-        l_passenger=l_pil[:-1],
-        l_environment=l_eil[:-1],
-        supply=supplied[:-1],
-        residual=l_total[:-1] - supplied[:-1] - balance_target(series, config.constants),
-    )
-    names = ("l_total", "l_passenger", "l_environment", "supply", "residual")
+    l_total, l_pil, l_eil = (column[:-1] for column in load(series, theta, config.constants))
+    supplied = supply(series, theta, config.constants).total[:-1]
+    signature = {
+        "l_total": l_total,
+        "l_passenger": l_pil,
+        "l_environment": l_eil,
+        "supply": supplied,
+        "residual": l_total - supplied - balance_target(series, config.constants),
+    }
 
     relative_error = None
     try:
-        system = integrate(assemble(series, config.constants, config.mode_filter))
-        relative_error = objective(theta, system, use_integrated=True)
+        relative_error = objective(theta, _system(config, series), use_integrated=True)
     except RegressionError:
         pass
 
     _ensure_out_dir(out_dir)
     write_columns(
         os.path.join(out_dir, "signature.csv"),
-        ["timestamp", "mode", *names],
+        ["timestamp", "mode", *signature],
         [
             (isoformat_utc, series.micros[:-1]),
             (lambda modes: [mode.value for mode in modes], series.mode[:-1]),
-            *((format_floats, getattr(signature, name)) for name in names),
+            *((format_floats, column) for column in signature.values()),
         ],
         "\n",
     )
 
     # builtin sum over Python floats in frame order, not the pairwise np.sum
-    sums = {name: sum(getattr(signature, name).tolist()) for name in names[:-1]}
+    sums = {name: sum(column.tolist()) for name, column in signature.items() if name != "residual"}
     shares = {}
     if sums["l_total"] != 0.0:
         shares = {
@@ -268,7 +266,7 @@ def cmd_eval(config: RunConfig, dataset: str, truth_path: str, out_dir: str) -> 
                 f"(rows/start/step do not match {dataset})"
             )
 
-    system = integrate(assemble(series, config.constants, config.mode_filter))
+    system = _system(config, series)
     threads = _thread_count()
     raw_fit = grid_fit(system, grid=config.grid, use_integrated=False, threads=threads)
     integrated_fit = grid_fit(system, grid=config.grid, use_integrated=True, threads=threads)

@@ -1,9 +1,9 @@
 """Core value types shared by every stage of the pipeline.
 
-All types here are immutable: constants, coefficients and signatures get
-passed between ingestion, model evaluation, and fitting code without
-defensive copies. from_json is the one decoder from parsed JSON to any
-of the package's frozen dataclasses.
+All types here are immutable: constants and coefficients get passed
+between ingestion, model evaluation, and fitting code without defensive
+copies. from_json is the one decoder from parsed JSON to any of the
+package's frozen dataclasses.
 """
 
 from __future__ import annotations
@@ -13,8 +13,6 @@ import typing
 from dataclasses import dataclass, is_dataclass
 from datetime import datetime
 from enum import Enum
-
-import numpy as np
 
 
 class HvacMode(Enum):
@@ -74,36 +72,6 @@ class Theta:
 def theta_is_feasible(theta: Theta) -> bool:
     """Constraint set of the fit: c_p > 0, alpha > 0, beta_ac >= 0."""
     return theta.c_p > 0 and theta.alpha > 0 and theta.beta_ac >= 0
-
-
-@dataclass(frozen=True, eq=False)
-class LoadSignature:
-    """Per-frame load decomposition for the frames that have a delta.
-
-    All series are read-only float arrays of one length. residual is the
-    closure of the energy balance: l_total - supply - thermal_mass * delta
-    per frame.
-    """
-
-    l_total: np.ndarray
-    l_passenger: np.ndarray
-    l_environment: np.ndarray
-    supply: np.ndarray
-    residual: np.ndarray
-
-    def __post_init__(self):
-        names = ("l_total", "l_passenger", "l_environment", "supply", "residual")
-        for name in names:
-            column = np.asarray(getattr(self, name), dtype=float)
-            column.setflags(write=False)
-            object.__setattr__(self, name, column)
-        if len({getattr(self, name).shape for name in names}) != 1:
-            raise ValueError("signature series must all share one length")
-        # math.isclose(l_total, l_passenger + l_environment, rel_tol=1e-12, abs_tol=1e-9) per frame
-        parts = self.l_passenger + self.l_environment
-        tolerance = np.maximum(1e-12 * np.maximum(np.abs(self.l_total), np.abs(parts)), 1e-9)
-        if not ((self.l_total == parts) | (np.abs(self.l_total - parts) <= tolerance)).all():
-            raise ValueError("l_total must equal l_passenger + l_environment")
 
 
 # the JSON value types a scalar field takes, and their name; a bool is no int here

@@ -102,9 +102,9 @@ class EmptySystem(RegressionError):
         super().__init__("no frames matched the mode filter; nothing to fit")
 
 
-class ZeroDenominator(RegressionError):
+class NonPositiveDenominator(RegressionError):
     def __init__(self):
-        super().__init__("objective denominator is exactly zero for this theta")
+        super().__init__("objective denominator is not positive for this theta")
 
 
 class DegenerateColumn(RegressionError):

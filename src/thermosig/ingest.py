@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from typing import Callable, Optional
@@ -288,8 +289,9 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     A leading byte order mark is skipped. Blank rows are skipped and
     short rows padded with empty cells. Raises IoError when the file
     cannot be read, UnreadableRow at the first line that is not UTF-8 or
-    not CSV, and MissingColumn for an incomplete header. Otherwise the
-    first faulty cell in file order raises BadTimestamp, BadNumber, or
+    not CSV or at a header that repeats a column it reads, and
+    MissingColumn for an incomplete header. Otherwise the first faulty
+    cell in file order raises BadTimestamp, BadNumber, or
     NegativeValue (for counts and meter channels that must be
     nonnegative), with its physical row number; within a row the
     timestamp and the numbers are read before the signs are checked.
@@ -315,6 +317,10 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
                     raise MissingColumn(name)
                 positions[name] = header.index(name)
             passenger_col = header.index(schema.passengers) if schema.passengers in header else None
+            read = {*positions, schema.passengers, *(header[col] for col in indoor_cols + outdoor_cols)}
+            duplicate = next((name for name, count in Counter(header).items() if count > 1 and name in read), None)
+            if duplicate is not None:
+                raise UnreadableRow(1, f"duplicate column {duplicate!r}")
 
             width = len(header)
             rows, numbers = [], []

@@ -35,7 +35,7 @@ from .errors import (
     DegenerateColumn,
     EmptySystem,
     NoFeasiblePoint,
-    ZeroDenominator,
+    NonPositiveDenominator,
 )
 from .ingest import FrameSeries
 
@@ -44,7 +44,7 @@ _BATCH_ELEMENTS = 1 << 16
 
 @dataclass(frozen=True)
 class RegressionSystem:
-    """Assembled rows and targets, with optional prefix-summed variants.
+    """Assembled rows and targets, with the prefix sums integrate attaches.
 
     Arrays are frozen read-only so systems can be shared across worker
     threads without copies.
@@ -137,8 +137,8 @@ class FitResult:
     grid: GridSpec
     mode_frames_used: int
     used_integration: bool
-    hit_bound: bool = False
-    surface: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    hit_bound: bool
+    surface: np.ndarray = field(repr=False, compare=False)
 
     def __post_init__(self):
         if not theta_is_feasible(self.theta):
@@ -172,7 +172,7 @@ def assemble(
 
 
 def integrate(system: RegressionSystem) -> RegressionSystem:
-    """Attach prefix-summed rows and targets; the originals stay intact."""
+    """Attach prefix-summed rows and targets, the one place they are computed."""
     return RegressionSystem(
         rows=system.rows,
         targets=system.targets,
@@ -184,23 +184,23 @@ def integrate(system: RegressionSystem) -> RegressionSystem:
 def _active(system: RegressionSystem, use_integrated: bool) -> tuple[np.ndarray, np.ndarray]:
     if not use_integrated:
         return system.rows, system.targets
-    if system.c_rows is not None:
-        return system.c_rows, system.d_targets
-    return np.cumsum(system.rows, axis=0), np.cumsum(system.targets)
+    if system.c_rows is None:
+        raise ValueError("use_integrated needs the prefix sums of integrate(system)")
+    return system.c_rows, system.d_targets
 
 
 def objective(theta: Theta, system: RegressionSystem, use_integrated: bool = False) -> float:
     """Relative L1 misfit of theta on the system, exactly as defined.
 
     The denominator is the accumulated modeled load sum(a1 c_p + a2 alpha);
-    it must be nonzero. beta_ac enters the numerator with its explicit
-    minus sign.
+    it must be positive, as in a feasible grid_fit cell. beta_ac enters
+    the numerator with its explicit minus sign.
     """
     rows, targets = _active(system, use_integrated)
     modeled_load = rows[:, 0] * theta.c_p + rows[:, 1] * theta.alpha
     denominator = float(modeled_load.sum())
-    if denominator == 0.0:
-        raise ZeroDenominator()
+    if not denominator > 0:
+        raise NonPositiveDenominator()
     numerator = float(np.abs(modeled_load - rows[:, 2] * theta.beta_ac - targets).sum())
     return numerator / denominator
 
@@ -280,17 +280,11 @@ def _evaluate_cells(
     return beta, numerator
 
 
-def best_beta(
-    c_p: float,
-    alpha: float,
-    system: RegressionSystem,
-    use_integrated: bool = False,
-) -> float:
+def best_beta(c_p: float, alpha: float, system: RegressionSystem) -> float:
     """Exact nonnegative minimizer of the L1 numerator over beta_ac."""
-    rows, targets = _active(system, use_integrated)
-    if not (rows[:, 2] != 0.0).any():
+    if not (system.rows[:, 2] != 0.0).any():
         raise DegenerateColumn("a3")
-    beta, _ = _evaluate_cells(np.array([c_p]), np.array([alpha]), rows, targets, threads=1)
+    beta, _ = _evaluate_cells(np.array([c_p]), np.array([alpha]), system.rows, system.targets, threads=1)
     return float(beta[0])
 
 
@@ -304,7 +298,6 @@ def grid_fit(
     grid: GridSpec = GridSpec(),
     use_integrated: bool = False,
     threads: int = 1,
-    collect_surface: bool = False,
 ) -> FitResult:
     """Grid search over (c_p, alpha) with the closed-form beta per cell.
 
@@ -320,23 +313,19 @@ def grid_fit(
     Args:
         system: assembled rows and targets.
         grid: axis bounds, resolution, spacing, and refinement depth.
-        use_integrated: fit on the prefix-summed variant of the system.
+        use_integrated: fit on the prefix sums that integrate attached.
         threads: worker threads for cell evaluation.
-        collect_surface: keep the initial pass as a (cells^2, 4) array of
-            (c_p, alpha, beta_ac, objective) in the result.
 
     Returns:
-        FitResult with the winning theta and its relative error.
+        FitResult with the winning theta, its relative error, and the initial
+        pass as a (cells^2, 4) surface of (c_p, alpha, beta_ac, objective).
     """
-    if len(system) < 1:
-        raise EmptySystem()
     rows, targets = _active(system, use_integrated)
     load_sums = (float(rows[:, 0].sum()), float(rows[:, 1].sum()))
 
     c_p_axis = grid.c_p_axis()
     alpha_axis = grid.alpha_axis()
     best: Optional[tuple[float, float, float, float]] = None
-    surface = None
 
     for pass_index in range(grid.refinement_passes + 1):
         if pass_index > 0:
@@ -352,8 +341,7 @@ def grid_fit(
         objective_values = np.where(feasible, numerator / np.where(feasible, denominator, 1.0), np.inf)
 
         if pass_index == 0:
-            if collect_surface:
-                surface = np.column_stack([cell_c_p, cell_alpha, beta, objective_values])
+            surface = np.column_stack([cell_c_p, cell_alpha, beta, objective_values])
             if not np.isfinite(objective_values).any():
                 raise NoFeasiblePoint()
 

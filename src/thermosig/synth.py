@@ -20,13 +20,13 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from datetime import datetime, timedelta, timezone
 from typing import Optional
 
 import numpy as np
 
-from .core import StationConstants, Theta, from_json
+from .core import StationConstants, Theta
 from .errors import DivergedState, EmptySystem
 from .ingest import (
     US_PER_HOUR,
@@ -413,11 +413,3 @@ def emit_csv(
     )
     write_records_csv(table, path, schema)
 
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    return {**asdict(scenario), "start": scenario.start.isoformat()}
-
-
-def scenario_from_dict(raw: dict) -> Scenario:
-    """A Scenario from parsed JSON, decoded by core.from_json."""
-    return from_json(Scenario, raw, "scenario")

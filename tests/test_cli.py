@@ -13,6 +13,7 @@ import pytest
 
 import thermosig.cli
 import thermosig.ingest
+import thermosig.regression
 from thermosig.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_IO, EXIT_OK, load_config, main
 
 CONSTANTS = {"c": 1.21, "m_z": 12000.0, "t_p": 37.0, "beta_v": 100.0, "step": 60.0}
@@ -125,6 +126,16 @@ class TestSignature:
         l_total = [abs(float(line.split(",")[2])) for line in rows]
         residuals = [abs(float(line.split(",")[6])) for line in rows]
         assert max(residuals) <= 1e-9 * max(l_total)
+
+    def test_non_positive_denominator_writes_null(self, day_run, tmp_path):
+        # a negative c_p makes the modeled load negative; the objective is then undefined
+        theta = tmp_path / "theta.json"
+        theta.write_text(json.dumps({"theta": {"c_p": -100.0, "alpha": 50.0, "beta_ac": 2000.0}}))
+        out = tmp_path / "signature"
+        code = main(["signature", "--config", day_run.config, "--dataset", day_run.dataset,
+                     "--theta", str(theta), "--out", str(out)])
+        assert code == EXIT_OK
+        assert json.loads((out / "summary.json").read_text())["integrated_relative_error"] is None
 
     def test_accepts_a_fit_result_as_theta_source(self, day_run):
         fit_out = day_run.root / "fit"
@@ -448,6 +459,18 @@ class TestBenchmarkContract:
     def test_grid_fit_keeps_its_traced_parameters(self):
         parameters = inspect.signature(thermosig.cli.grid_fit).parameters
         assert {"system", "grid", "use_integrated"} <= set(parameters)
+
+    def test_objective_keeps_its_integrated_keyword(self):
+        assert "use_integrated" in inspect.signature(thermosig.regression.objective).parameters
+
+    def test_raw_objective_ignores_the_attached_sums(self):
+        # perfbench's check_objective scores raw fits on an integrated system
+        regression = thermosig.regression
+        rng = np.random.default_rng(41)
+        system = regression.RegressionSystem(rng.uniform(0.5, 2.0, (50, 3)), rng.uniform(0.0, 1.0, 50))
+        theta = thermosig.Theta(2.0, 3.0, 0.5)
+        integrated = regression.integrate(system)
+        assert regression.objective(theta, integrated, use_integrated=False) == regression.objective(theta, system)
 
     def test_parse_csv_length_counts_data_rows(self, tmp_path):
         path = tmp_path / "rows.csv"

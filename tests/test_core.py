@@ -9,7 +9,6 @@ import pytest
 from thermosig import (
     FrameSeries,
     HvacMode,
-    LoadSignature,
     StationConstants,
     Theta,
     theta_is_feasible,
@@ -110,38 +109,6 @@ class TestTheta:
         # the type itself does not enforce the constraint set; the fit does
         theta = Theta(c_p=-1.0, alpha=0.0, beta_ac=-3.0)
         assert theta.c_p == -1.0
-
-
-class TestLoadSignature:
-    def test_accepts_consistent_series(self):
-        sig = LoadSignature(
-            l_total=(230.0, 100.0),
-            l_passenger=(200.0, 60.0),
-            l_environment=(30.0, 40.0),
-            supply=(200.0, 90.0),
-            residual=(30.0, 10.0),
-        )
-        assert len(sig.l_total) == 2
-
-    def test_rejects_length_mismatch(self):
-        with pytest.raises(ValueError, match="length"):
-            LoadSignature(
-                l_total=(230.0,),
-                l_passenger=(200.0,),
-                l_environment=(30.0,),
-                supply=(200.0, 90.0),
-                residual=(30.0,),
-            )
-
-    def test_rejects_inconsistent_decomposition(self):
-        with pytest.raises(ValueError, match="l_total"):
-            LoadSignature(
-                l_total=(230.0,),
-                l_passenger=(200.0,),
-                l_environment=(31.0,),
-                supply=(200.0,),
-                residual=(30.0,),
-            )
 
 
 class TestFromJson:

@@ -134,6 +134,22 @@ class TestParseCsv:
                         "2021-06-01T09:00:00Z,27,99,33,12,7,0.4,0\n", encoding="utf-8")
         assert parse_csv(str(path)).indoor.tolist() == [[27.0]]
 
+    @pytest.mark.parametrize("name", ["timestamp", "t_in_1", "t_out_1", "t_water_in", "e_v", "passengers"])
+    def test_duplicated_read_column_rejected(self, tmp_path, name):
+        # before, a second e_v or passengers column was ignored and a second t_in_1 averaged in
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEADER + f",{name},notes,notes\n"
+                        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,5,999,a,b\n", encoding="utf-8")
+        with pytest.raises(UnreadableRow, match=f"duplicate column '{name}'") as err:
+            parse_csv(str(path))
+        assert err.value.row == 1
+
+    def test_duplicated_unread_column_allowed(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEADER + ",notes,notes\n"
+                        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,5,a,b\n", encoding="utf-8")
+        assert len(parse_csv(str(path))) == 1
+
     def test_bad_timestamp_reports_physical_row(self, tmp_path):
         path = self._write(
             tmp_path,

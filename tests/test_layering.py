@@ -1,5 +1,5 @@
 """Module boundaries inside the package: a module reaches a sibling only
-through the sibling's public names."""
+through the sibling's public names, and imports no name it does not use."""
 
 import ast
 from pathlib import Path
@@ -27,4 +27,21 @@ def test_package_modules_are_found():
 
 def test_no_module_imports_a_private_name_from_a_sibling():
     found = [line for path in sorted(PACKAGE.glob("*.py")) for line in _private_imports(path)]
+    assert found == []
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Each name the module at path imports and never reads."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)) and getattr(node, "module", None) != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_no_module_keeps_an_unused_import():
+    found = [line for path in sorted(PACKAGE.glob("*.py")) if path.name != "__init__.py" for line in _unused_imports(path)]
     assert found == []

@@ -25,7 +25,7 @@ from thermosig.errors import (
     DegenerateColumn,
     EmptySystem,
     NoFeasiblePoint,
-    ZeroDenominator,
+    NonPositiveDenominator,
 )
 
 
@@ -111,13 +111,13 @@ class TestIntegrate:
         # the raw arrays stay available next to the integrated ones
         assert integrated.rows.tolist() == system.rows.tolist()
 
-    def test_objective_autointegrates_when_not_attached(self):
-        rng = np.random.default_rng(3)
-        system = _random_system(rng, 20)
-        theta = Theta(2.0, 3.0, 1.0)
-        assert objective(theta, system, use_integrated=True) == objective(
-            theta, integrate(system), use_integrated=True
-        )
+    def test_integrated_fit_needs_integrate(self):
+        # integrate is the one place the prefix sums are computed
+        system = _random_system(np.random.default_rng(3), 20)
+        with pytest.raises(ValueError, match=r"integrate\(system\)"):
+            objective(Theta(2.0, 3.0, 1.0), system, use_integrated=True)
+        with pytest.raises(ValueError, match=r"integrate\(system\)"):
+            grid_fit(system, grid=GridSpec(cells=4), use_integrated=True)
 
 
 class TestObjective:
@@ -138,7 +138,13 @@ class TestObjective:
 
     def test_zero_denominator_raises(self):
         system = _system([[1.0, -1.0, 0.0]], [5.0])
-        with pytest.raises(ZeroDenominator):
+        with pytest.raises(NonPositiveDenominator):
+            objective(Theta(1.0, 1.0, 0.0), system)
+
+    def test_negative_denominator_raises(self):
+        # grid_fit counts such a cell infeasible; a "relative error" of -6 means nothing
+        system = _system([[1.0, -2.0, 0.0]], [5.0])
+        with pytest.raises(NonPositiveDenominator, match="not positive"):
             objective(Theta(1.0, 1.0, 0.0), system)
 
     def test_unit_rescaling_leaves_the_error_unchanged(self):
@@ -254,7 +260,7 @@ class TestBatching:
             monkeypatch.setattr(regression, "_BATCH_ELEMENTS", budget)
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
-                return grid_fit(system, grid=self.GRID, collect_surface=True)
+                return grid_fit(system, grid=self.GRID)
 
         default = fit(regression._BATCH_ELEMENTS)
         # one cell a batch, then the whole pass in one batch
@@ -378,9 +384,8 @@ class TestGridFit:
         rng = np.random.default_rng(31)
         system = _random_system(rng, 40)
         grid = GridSpec(cells=10, refinement_passes=1)
-        fit = grid_fit(system, grid=grid, collect_surface=True)
+        fit = grid_fit(system, grid=grid)
         assert fit.surface.shape == (100, 4)
         finite = fit.surface[np.isfinite(fit.surface[:, 3])]
         # refinement can only improve on the initial pass
         assert finite[:, 3].min() >= fit.relative_error - 1e-12
-        assert grid_fit(system, grid=grid).surface is None

@@ -1,7 +1,9 @@
 """Synthetic station generator: profiles, controller behavior, noise,
 and the CSV round trip back through ingestion."""
 
+import json
 import math
+from dataclasses import asdict
 from datetime import datetime
 
 import numpy as np
@@ -24,8 +26,9 @@ from thermosig import (
     simulate,
     supply,
 )
+from thermosig.core import from_json
 from thermosig.errors import DivergedState
-from thermosig.synth import IdentifiabilityWarning, scenario_from_dict, scenario_to_dict
+from thermosig.synth import IdentifiabilityWarning
 
 
 def _one_day(**overrides) -> Scenario:
@@ -229,14 +232,15 @@ class TestScenarioSerialization:
             noise=NoiseModel(temp_std=0.05, temp_quantization=0.1),
             hvac=HvacPlant(setpoint=25.0),
         )
-        assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
+        text = json.dumps({**asdict(scenario), "start": scenario.start.isoformat()})
+        assert from_json(Scenario, json.loads(text), "scenario") == scenario
 
     def test_defaults_fill_missing_sections(self):
-        assert scenario_from_dict({"seed": 3}) == Scenario(seed=3)
+        assert from_json(Scenario, {"seed": 3}, "scenario") == Scenario(seed=3)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):
-            scenario_from_dict({"sedd": 3})
+            from_json(Scenario, {"sedd": 3}, "scenario")
 
     def test_reference_run_is_identifiable(self, reference_run):
         _, _, identifiability = reference_run
