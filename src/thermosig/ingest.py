@@ -276,11 +276,17 @@ def _float_column(cells: tuple[str, ...]) -> np.ndarray:
 
 
 def _channel_columns(header: list[str], prefix: str) -> list[int]:
-    found = []
+    found: dict[int, int] = {}
     for idx, name in enumerate(header):
         if name.startswith(prefix) and name[len(prefix):].isdecimal():
-            found.append((int(name[len(prefix):]), idx))
-    return [idx for _, idx in sorted(found)]
+            channel = int(name[len(prefix):])
+            if channel in found:
+                # t_in_1 and t_in_01 name one channel, which must be read once
+                first = header[found[channel]]
+                alias = "" if first == name else f", channel {channel} as {first!r}"
+                raise UnreadableRow(1, f"duplicate column {name!r}{alias}")
+            found[channel] = idx
+    return [found[channel] for channel in sorted(found)]
 
 
 def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
@@ -289,7 +295,8 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     A leading byte order mark is skipped. Blank rows are skipped and
     short rows padded with empty cells. Raises IoError when the file
     cannot be read, UnreadableRow at the first line that is not UTF-8 or
-    not CSV or at a header that repeats a column it reads, and
+    not CSV or at a header that repeats a column it reads (t_in_1 and
+    t_in_01 name one channel, so they repeat it), and
     MissingColumn for an incomplete header. Otherwise the first faulty
     cell in file order raises BadTimestamp, BadNumber, or
     NegativeValue (for counts and meter channels that must be
@@ -317,7 +324,7 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
                     raise MissingColumn(name)
                 positions[name] = header.index(name)
             passenger_col = header.index(schema.passengers) if schema.passengers in header else None
-            read = {*positions, schema.passengers, *(header[col] for col in indoor_cols + outdoor_cols)}
+            read = {*positions, schema.passengers}
             duplicate = next((name for name, count in Counter(header).items() if count > 1 and name in read), None)
             if duplicate is not None:
                 raise UnreadableRow(1, f"duplicate column {duplicate!r}")

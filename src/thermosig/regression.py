@@ -18,11 +18,16 @@ quantization error to every later row, and the error grows with the
 number of runs, that is with dataset length.
 
 Grid cells are evaluated in batches whose size follows from the row
-count, so a batch's working arrays fit in a core's L2 cache.
+count, so a batch's working arrays fit in a core's L2 cache. Within a
+batch the weighted median sorts only the rows that a weighted sample
+brackets around the half-weight split, and falls back to the full sort
+wherever rounding could tell the two apart, so every beta is the full
+sort's.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -40,6 +45,11 @@ from .errors import (
 from .ingest import FrameSeries
 
 _BATCH_ELEMENTS = 1 << 16
+# the bracketed weighted median: sample rows, bracket ranks around the
+# sample's middle, and the rounding margin in units of n_kept * eps * half
+_SAMPLE_ROWS = 512
+_BRACKET_SPAN = 24
+_MARGIN_ULPS = 8
 
 
 @dataclass(frozen=True)
@@ -106,8 +116,11 @@ class GridSpec:
             raise ValueError("cells must be at least 1")
         if self.refinement_passes < 0:
             raise ValueError("refinement_passes must be nonnegative")
-        if self.c_p_max <= 0 or self.alpha_max <= 0:
-            raise ValueError("axis maxima must be positive")
+        for name in ("c_p_max", "alpha_max"):
+            value = getattr(self, name)
+            # a NaN or infinite maximum puts NaN into its axis
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
         for low, high in ((self.c_p_min, self.c_p_max), (self.alpha_min, self.alpha_max)):
             if low is not None and not (0 < low <= high):
                 raise ValueError("axis minima must be positive and at most the maxima")
@@ -205,6 +218,15 @@ def objective(theta: Theta, system: RegressionSystem, use_integrated: bool = Fal
     return numerator / denominator
 
 
+def _sorted_median(ratios: np.ndarray, weights: np.ndarray, half_weight: float) -> np.ndarray:
+    """Weighted median of each row of ratios by a full sort: the first
+    sorted ratio whose sequential running weight reaches half_weight."""
+    order = np.argsort(ratios, axis=1)
+    pick = np.argmax(np.cumsum(weights[order], axis=1) >= half_weight, axis=1)
+    cell = np.arange(len(ratios))
+    return ratios[cell, order[cell, pick]]
+
+
 def _evaluate_cells(
     c_p: np.ndarray,
     alpha: np.ndarray,
@@ -217,9 +239,22 @@ def _evaluate_cells(
     For fixed c_p and alpha the numerator is sum |r_i - a3_i * beta| with
     r_i = a1_i c_p + a2_i alpha - b_i, an L1 line fit through the origin.
     Its minimizer over beta is the weighted median of r_i / a3_i with
-    weights |a3_i| (rows with a3_i = 0 contribute a constant). The
-    median is clamped at zero; at an exact weight split the smaller
-    candidate wins.
+    weights |a3_i| (rows with a3_i = 0 contribute a constant). The rule,
+    in floats: beta is the first ratio in sorted order whose sequential
+    running weight reaches half the pairwise-summed total weight, clamped
+    at zero. Near an exact weight split that running sum decides, so the
+    pick can be the larger of two candidates that split the weight evenly
+    in exact arithmetic.
+
+    Most of the pick avoids the full sort. A sample of rows at evenly
+    spaced weight quantiles brackets each cell's median between two of
+    its order statistics; the weight below the bracket is summed, and
+    only the rows inside it are sorted. A cell whose bracket misses the
+    median, or whose running weight at the pick or just before it lies
+    within a rounding margin of the half, is sorted in full instead.
+    The margin bounds the error of both summation orders, so outside it
+    they cross half at the same ratio: beta equals the full sort's on
+    every input.
 
     Cells are evaluated in batches of about _BATCH_ELEMENTS cell-rows, so
     each float64 working array (512 KiB) fits in a core's L2 cache. Each
@@ -242,13 +277,69 @@ def _evaluate_cells(
     beta = np.zeros(n_cells)
     numerator = np.empty(n_cells)
     batch = max(1, _BATCH_ELEMENTS // n_rows)
+    if n_kept:
+        cumulative = np.cumsum(weights)
+        quantiles = (np.arange(_SAMPLE_ROWS) + 0.5) / _SAMPLE_ROWS * cumulative[-1]
+        sample = np.minimum(np.searchsorted(cumulative, quantiles), n_kept - 1)
+        ranks = (_SAMPLE_ROWS // 2 - _BRACKET_SPAN, _SAMPLE_ROWS // 2 + _BRACKET_SPAN)
+        # a running sum of the weights, in any order, lies within about
+        # n_kept * eps * half_weight of its exact value. Where the bracket's
+        # sums at the pick and just before it clear the half by more than
+        # two such errors, the full sort's sum crosses the half within the
+        # same run of equal ratios, so both pick the same value; the margin
+        # allows eight
+        margin = _MARGIN_ULPS * n_kept * np.finfo(float).eps * half_weight
+
+    def bracketed_median(ratios: np.ndarray, narrow: np.ndarray, flags: np.ndarray) -> np.ndarray:
+        # the full sort's pick for every cell, from the rows near the half-weight split
+        cells = len(ratios)
+        # sorting 512 values is faster here than partitioning them at two ranks
+        low, high = np.sort(ratios[:, sample], axis=1)[:, ranks].T[:, :, None]
+        below, inside = (buf[: cells * n_kept].reshape(cells, n_kept) for buf in flags)
+        np.less(ratios, low, out=below)
+        # a masked row sum, not a matrix product: BLAS may reorder the sum per call
+        masked = np.multiply(below, weights, out=narrow[0, : cells * n_kept].reshape(cells, n_kept))
+        below_weight = masked.sum(axis=1)
+        # low <= ratio <= high, written as (ratio <= high) and not below
+        np.greater(np.less_equal(ratios, high, out=inside), below, out=inside)
+
+        flat = np.flatnonzero(inside)
+        if not len(flat):
+            return _sorted_median(ratios, weights, half_weight)
+        row, column = np.divmod(flat, n_kept)
+        counts = np.bincount(row, minlength=cells)
+        width = int(counts.max())
+        # the rows inside each bracket, left-aligned and padded with +inf of no weight
+        slot = row * width + np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
+        middle, running = (buf[: cells * width] for buf in narrow)
+        middle.fill(np.inf)
+        running.fill(0.0)
+        middle[slot] = ratios.ravel()[flat]
+        running[slot] = weights[column]
+        middle, running = middle.reshape(cells, width), running.reshape(cells, width)
+        order = np.argsort(middle, axis=1)
+        running = np.take_along_axis(running, order, axis=1)
+        np.cumsum(running, axis=1, out=running)
+        running += below_weight[:, None]
+        cell = np.arange(cells)
+        pick = np.argmax(running >= half_weight, axis=1)
+        at = running[cell, pick]
+        before = np.where(pick > 0, running[cell, pick - 1], below_weight)
+        median = middle[cell, order[cell, pick]]
+        # a bracket that misses the median leaves `at` below the half or
+        # `before` at or above it; NaN sums fail both tests too
+        usable = (at - half_weight > margin) & (half_weight - before > margin)
+        fallback = np.flatnonzero(~usable)
+        if len(fallback):
+            median[fallback] = _sorted_median(ratios[fallback], weights, half_weight)
+        return median
 
     def run(starts: range) -> None:
         # Arrays freed after every batch went back to the OS, and faulting
         # them in again took a third of a pass, so a worker allocates once.
         wide = np.empty((2, batch * n_rows))
-        narrow = np.empty(batch * n_kept)
-        flags = np.empty(batch * n_kept, dtype=bool)
+        narrow = np.empty((2, batch * n_kept))
+        flags = np.empty((2, batch * n_kept), dtype=bool)
         for lo in starts:
             hi = min(lo + batch, n_cells)
             cells = hi - lo
@@ -259,14 +350,7 @@ def _evaluate_cells(
             if n_kept:
                 ratios = wide[1, : cells * n_kept].reshape(cells, n_kept)
                 np.divide(residual[:, kept], a3_kept, out=ratios)
-                order = np.argsort(ratios, axis=1)
-                cumulative = narrow[: cells * n_kept].reshape(cells, n_kept)
-                np.take(weights, order, out=cumulative)
-                np.cumsum(cumulative, axis=1, out=cumulative)
-                crossed = flags[: cells * n_kept].reshape(cells, n_kept)
-                pick = np.argmax(np.greater_equal(cumulative, half_weight, out=crossed), axis=1)
-                cell = np.arange(cells)
-                beta[lo:hi] = np.maximum(ratios[cell, order[cell, pick]], 0.0)
+                beta[lo:hi] = np.maximum(bracketed_median(ratios, narrow, flags), 0.0)
             residual -= np.multiply(beta[lo:hi, None], a3, out=scratch)
             numerator[lo:hi] = np.abs(residual, out=residual).sum(axis=1)
 

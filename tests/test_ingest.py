@@ -144,6 +144,16 @@ class TestParseCsv:
             parse_csv(str(path))
         assert err.value.row == 1
 
+    @pytest.mark.parametrize("first, alias", [("t_in_1", "t_in_01"), ("t_out_1", "t_out_001")])
+    def test_aliased_channel_rejected(self, tmp_path, first, alias):
+        # before, t_in_1 = 27 and t_in_01 = 99 were averaged in as channel 1
+        path = tmp_path / "data.csv"
+        path.write_text(self.HEADER + f",{alias}\n"
+                        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,5,99\n", encoding="utf-8")
+        with pytest.raises(UnreadableRow, match=f"duplicate column '{alias}', channel 1 as '{first}'") as err:
+            parse_csv(str(path))
+        assert err.value.row == 1
+
     def test_duplicated_unread_column_allowed(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text(self.HEADER + ",notes,notes\n"

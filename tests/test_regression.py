@@ -2,6 +2,7 @@
 solve, and the grid search."""
 
 import warnings
+from fractions import Fraction
 from datetime import datetime, timezone
 
 import numpy as np
@@ -227,6 +228,122 @@ def _weighted_median_beta(c_p, alpha, rows, targets):
             return max(ratio, 0.0)
 
 
+class TestBracketedMedian:
+    """The kernel sorts only the rows near the half-weight split; every beta
+    must still equal the full sort's, which the plain-Python reference is."""
+
+    @staticmethod
+    def _check(rows, targets, c_p, alpha):
+        rows, targets = np.asarray(rows, dtype=float), np.asarray(targets, dtype=float)
+        beta, _ = regression._evaluate_cells(np.asarray(c_p, float), np.asarray(alpha, float), rows, targets, 1)
+        for cell, (cp, al) in enumerate(zip(c_p, alpha)):
+            assert beta[cell] == _weighted_median_beta(cp, al, rows, targets), cell
+
+    @pytest.fixture
+    def fallbacks(self, monkeypatch):
+        """Counts the cells that go back to the full sort."""
+        count = []
+        full_sort = regression._sorted_median
+
+        def spy(ratios, weights, half_weight):
+            count.append(len(ratios))
+            return full_sort(ratios, weights, half_weight)
+
+        monkeypatch.setattr(regression, "_sorted_median", spy)
+        return count
+
+    @staticmethod
+    def _cells(rng, n_cells=60):
+        return rng.uniform(0.1, 1000.0, n_cells), rng.uniform(0.1, 1000.0, n_cells)
+
+    def test_random_systems(self, fallbacks):
+        rng = np.random.default_rng(41)
+        for n_rows in (600, 2000):
+            system = _random_system(rng, n_rows)
+            self._check(system.rows, system.targets, *self._cells(rng))
+        # most cells take the bracketed path
+        assert sum(fallbacks) < 12
+
+    def test_quantized_weights_near_exact_splits(self):
+        # raw rows as in the reference dataset: a3 takes the few products of
+        # a flow and a 0.1-degree water delta, and b is a quantized delta
+        rng = np.random.default_rng(43)
+        for n_rows in (300, 1000, 3000):
+            rows = np.column_stack([
+                rng.uniform(0.5, 50.0, n_rows),
+                rng.uniform(0.5, 20.0, n_rows),
+                rng.choice([0.4, 0.8]) * rng.choice(np.arange(1, 8) * 0.1, n_rows),
+            ])
+            targets = 1.21 * 12000.0 * np.round(rng.normal(0.0, 0.05, n_rows), 1)
+            c_p, alpha = self._cells(rng, 200)
+            self._check(rows, targets, np.round(c_p), np.round(alpha))
+
+    @pytest.mark.parametrize("case", ["duplicated rows", "zero a3 rows", "negative a3", "all ratios negative"])
+    def test_awkward_systems(self, case):
+        rng = np.random.default_rng(47)
+        system = _random_system(rng, 800)
+        rows, targets = system.rows.copy(), system.targets.copy()
+        if case == "duplicated rows":
+            # every ratio appears twice with the same weight
+            rows[:, 2] = np.round(rows[:, 2])
+            rows[rows[:, 2] == 0.0, 2] = 1.0
+            rows, targets = np.tile(rows[:400], (2, 1)), np.tile(np.round(targets[:400]), 2)
+        elif case == "zero a3 rows":
+            rows[::3, 2] = 0.0
+        elif case == "negative a3":
+            rows[:, 2] = -np.abs(rows[:, 2])
+        else:
+            # every median is negative and clamps to zero
+            rows[:, 2] = np.abs(rows[:, 2]) + 0.1
+            targets = rows[:, 0] * 2000.0 + rows[:, 1] * 2000.0
+        self._check(rows, targets, *self._cells(rng))
+        if case == "all ratios negative":
+            beta, _ = regression._evaluate_cells(*self._cells(rng), rows, targets, 1)
+            assert (beta == 0.0).all()
+
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 100, regression._SAMPLE_ROWS - 1])
+    def test_fewer_rows_than_the_sample(self, n_rows):
+        rng = np.random.default_rng(53)
+        system = _random_system(rng, n_rows)
+        self._check(system.rows, system.targets, *self._cells(rng))
+
+    @pytest.mark.parametrize("small", ["sampled rows", "unsampled rows"])
+    def test_bracket_miss_falls_back(self, fallbacks, small):
+        # 1025 rows of weight 1 put the weight-quantile sample on the odd rows
+        # alone. When those hold one end of the ratios, every bracket lies at
+        # that end: the weight below it reaches half, or the weight through
+        # it never does. The half, 512.5, is 0.5 away from every running sum,
+        # far outside the rounding margin.
+        n_rows = 1025
+        ratios = np.linspace(0.0, 1.0, n_rows)
+        odd = np.arange(n_rows) % 2 == 1
+        ratios[odd == (small == "sampled rows")] += 100.0
+        rows = np.column_stack([np.zeros(n_rows), np.zeros(n_rows), np.ones(n_rows)])
+        self._check(rows, -ratios, [0.0, 0.0], [0.0, 0.0])
+        assert sum(fallbacks) == 2
+
+    def test_margin_falls_back(self, fallbacks):
+        # equal weights on an even row count: the running weight at the pick
+        # is exactly half, inside the rounding margin
+        rng = np.random.default_rng(59)
+        rows = np.column_stack([rng.uniform(0.5, 50.0, 1000), rng.uniform(0.5, 20.0, 1000), np.ones(1000)])
+        c_p, alpha = self._cells(rng, 20)
+        self._check(rows, rng.normal(0.0, 100.0, 1000), c_p, alpha)
+        assert sum(fallbacks) == 20
+
+    def test_running_float_weight_decides_an_even_split(self):
+        # weights 0.1, 0.7, 0.7, 0.1 split evenly in exact arithmetic after the
+        # second ratio, but the float running sum there, 0.7999999999999999,
+        # falls short of half the total, 0.8; the third ratio is the pick.
+        # Power-of-two ratios keep ratio * weight / weight exact.
+        weights = [0.1, 0.7, 0.7, 0.1]
+        assert Fraction(0.1) + Fraction(0.7) == sum(map(Fraction, weights)) / 2
+        assert 0.1 + 0.7 < 0.5 * float(np.sum(weights))
+        ratios = [1.0, 2.0, 4.0, 8.0]
+        system = _system([[0.0, 0.0, w] for w in weights], [-r * w for r, w in zip(ratios, weights)])
+        assert best_beta(0.0, 0.0, system) == 4.0
+
+
 class TestBatching:
     """The batch size is a memory layout choice that no cell may see."""
 
@@ -284,6 +401,13 @@ class TestGridSpec:
             GridSpec(c_p_max=-1.0)
         with pytest.raises(ValueError):
             GridSpec(c_p_min=2000.0, c_p_max=1000.0)
+
+    @pytest.mark.parametrize("key", ["c_p_max", "alpha_max"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_maxima(self, key, value):
+        # NaN gave an all-NaN axis and a misleading NoFeasiblePoint, inf an axis ending [inf, nan]
+        with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
+            GridSpec(**{key: value})
 
     def test_linear_axis_spans_min_to_max(self):
         grid = GridSpec(c_p_max=200.0, c_p_min=10.0, cells=20, spacing="linear")
