@@ -1,5 +1,5 @@
 """Dataset ingestion: CSV reading and writing, channel averaging, gap
-filling, passenger interpolation, and per-step mode classification.
+filling, passenger spreading, and per-step mode classification.
 
 The on-disk format is a UTF-8 comma CSV with a header. Temperature
 channels may repeat (t_in_1..k, t_out_1..m); empty cells mean missing.
@@ -12,6 +12,18 @@ A file is read into a RecordTable, one array per column in file order,
 and build_frames turns the table into a FrameSeries on the step grid;
 write_records_csv writes a table back, column by column.
 
+parse_csv decodes a file once and cuts the text into columns with one of
+two tokenizers. A plain file is split at its line ends and then at its
+commas in one pass: it has no quote, NUL or bare carriage return, every
+line has the header's number of commas and fits csv's field limit, and
+no row is blank, so csv.reader would read each line as that split. Any
+other file goes through csv.reader, record by record; it is the
+reference the plain split is tested against. Both give the same columns
+and line numbers, and everything after them converts whole columns:
+numbers as float() reads them, and timestamps in isoformat_utc's
+whole-second form as one block of bytes, with every other timestamp
+cell read on its own.
+
 Time is kept as int64 microseconds since the epoch, in UTC. A series
 stores only its start and step, and time_axis derives every frame's
 instant from them. No per-frame datetime is built on the way from a CSV
@@ -23,11 +35,13 @@ format_floats for numbers.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from typing import Callable, Optional
+from itertools import repeat
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -250,6 +264,40 @@ def _timestamp_micros(cell: str) -> Optional[int]:
         return None
 
 
+# isoformat_utc's text of a whole-second instant: any digit where the form has a d
+_STAMP_FORM = np.frombuffer(b"dddd-dd-ddTdd:dd:dd+00:00", dtype=np.uint8)
+_STAMP_DIGITS = _STAMP_FORM == ord("d")
+
+
+def _canonical_micros(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
+    """(micros, found) for a timestamp column, decoded as a block of bytes.
+
+    found marks the cells that are exactly isoformat_utc's text of a
+    whole-second instant, YYYY-MM-DDTHH:MM:SS+00:00 with a valid date and
+    time, which datetime.fromisoformat reads as that instant; micros holds
+    it there and 0 elsewhere. Nothing is found unless every cell is as
+    long as that form.
+    """
+    count, width = len(cells), len(_STAMP_FORM) + 1
+    blob = ("\n".join(cells) + "\n").encode()
+    rows = np.frombuffer(blob, dtype=np.uint8)
+    # each cell is width - 1 bytes long when the only newlines are the ones ending the rows
+    if len(blob) != count * width or blob.count(b"\n") != count or (rows[width - 1::width] != 10).any():
+        return np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
+    chars = rows.reshape(count, width)[:, :-1]
+    digits = chars - np.uint8(ord("0"))  # wraps around below "0"
+    found = (digits[:, _STAMP_DIGITS] <= 9).all(axis=1)
+    found &= (chars[:, ~_STAMP_DIGITS] == _STAMP_FORM[~_STAMP_DIGITS]).all(axis=1)
+    year = digits[:, 0:4] @ np.array([1000, 100, 10, 1])
+    month, day, hour, minute, second = (digits[:, k:k + 2] @ np.array([10, 1]) for k in (5, 8, 11, 14, 17))
+    found &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24) & (minute < 60) & (second < 60)
+    months = np.where(found, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
+    first_day = months.astype("datetime64[D]").astype(np.int64)
+    found &= day <= (months + 1).astype("datetime64[D]").astype(np.int64) - first_day
+    seconds = (((first_day + day - 1) * 24 + hour) * 60 + minute) * 60 + second
+    return np.where(found, seconds * US_PER_S, 0), found
+
+
 def _utc(micros: int) -> datetime:
     return _EPOCH + timedelta(microseconds=int(micros))
 
@@ -262,9 +310,16 @@ def _lenient_float(cell: str) -> float:
     return value if math.isfinite(value) else math.inf
 
 
-def _float_column(cells: tuple[str, ...]) -> np.ndarray:
+def _float_column(cells: Sequence[str]) -> np.ndarray:
     """float(cell) for each cell: NaN where the cell is blank, inf where it
     holds anything but a finite number."""
+    try:
+        # numpy converts each str as float() does
+        values = np.array(cells, dtype=float)
+        if np.isfinite(values).all():
+            return values
+    except ValueError:
+        pass
     try:
         values = np.array([float(cell) if cell else math.nan for cell in cells])
         # every NaN came from an empty cell, none from a cell reading "nan"
@@ -289,6 +344,73 @@ def _channel_columns(header: list[str], prefix: str) -> list[int]:
     return [found[channel] for channel in sorted(found)]
 
 
+def _read_text(path: str) -> str:
+    """The decoded text of a dataset file, a leading byte order mark
+    removed and line ends kept as they are."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as handle:
+            return handle.read()
+    except OSError as exc:
+        raise IoError(path, str(exc)) from None
+    except UnicodeDecodeError:
+        # the line of the first bad byte is found in the raw bytes
+        with open(path, "rb") as handle:
+            data = handle.read()
+        try:
+            data.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise UnreadableRow(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}") from None
+        raise
+
+
+def _plain_split(text: str) -> Optional[tuple[list[str], list[list[str]], range]]:
+    """(header, columns, line numbers) of text split at its line ends and
+    commas, or None unless csv.reader reads every line of it as exactly
+    that split: no quote, NUL or bare carriage return, no line longer than
+    the csv field limit, every line with the header's number of commas, and
+    no data line whose first cell is blank (so no row is blank)."""
+    if '"' in text or "\0" in text:
+        return None
+    if "\r" in text:
+        text = text.replace("\r\n", "\n")
+        if "\r" in text:
+            return None
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    if not lines or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
+        return None
+    width = lines[0].count(",") + 1
+    if (np.fromiter(map(str.count, lines, repeat(",")), dtype=np.int64, count=len(lines)) != width - 1).any():
+        return None
+    del lines  # cut the cells from the text without keeping the lines too
+    cells = text.replace("\n", ",").split(",")
+    if text.endswith("\n"):
+        cells.pop()
+    columns = [cells[col::width] for col in range(width, 2 * width)]
+    if not all(map(str.strip, columns[0])):
+        return None
+    return cells[:width], columns, range(2, len(columns[0]) + 2)
+
+
+def _reader_columns(reader, width: int) -> tuple[list[tuple[str, ...]], list[int]]:
+    """(columns, line numbers) of the records csv.reader reads after the
+    header. Blank records are skipped and short ones padded with empty
+    cells. A record is numbered by the line it starts on, which a quoted
+    cell holding a line break puts before the line the reader stops at."""
+    rows, numbers = [], []
+    start = reader.line_num + 1
+    try:
+        for cells in reader:
+            if "".join(cells).strip():
+                rows.append(cells + [""] * (width - len(cells)) if len(cells) < width else cells)
+                numbers.append(start)
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise UnreadableRow(reader.line_num, str(exc)) from None
+    return list(zip(*rows)) or [()] * width, numbers
+
+
 def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     """Read one dataset file into a RecordTable, rows in file order.
 
@@ -300,65 +422,60 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     MissingColumn for an incomplete header. Otherwise the first faulty
     cell in file order raises BadTimestamp, BadNumber, or
     NegativeValue (for counts and meter channels that must be
-    nonnegative), with its physical row number; within a row the
+    nonnegative), with the line its row starts on; within a row the
     timestamp and the numbers are read before the signs are checked.
     """
-    try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            reader = csv.reader(handle)
-            try:
-                header = [name.strip() for name in next(reader)]
-            except StopIteration:
-                raise MissingColumn(schema.timestamp) from None
-
-            indoor_cols = _channel_columns(header, schema.indoor_prefix)
-            outdoor_cols = _channel_columns(header, schema.outdoor_prefix)
-            if not indoor_cols:
-                raise MissingColumn(schema.indoor_prefix + "1")
-            if not outdoor_cols:
-                raise MissingColumn(schema.outdoor_prefix + "1")
-
-            positions = {}
-            for name in (schema.timestamp, schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v):
-                if name not in header:
-                    raise MissingColumn(name)
-                positions[name] = header.index(name)
-            passenger_col = header.index(schema.passengers) if schema.passengers in header else None
-            read = {*positions, schema.passengers}
-            duplicate = next((name for name, count in Counter(header).items() if count > 1 and name in read), None)
-            if duplicate is not None:
-                raise UnreadableRow(1, f"duplicate column {duplicate!r}")
-
-            width = len(header)
-            rows, numbers = [], []
-            for row_number, cells in enumerate(reader, start=2):
-                if "".join(cells).strip():
-                    rows.append(cells + [""] * (width - len(cells)) if len(cells) < width else cells)
-                    numbers.append(row_number)
-    except OSError as exc:
-        raise IoError(path, str(exc)) from None
-    except UnicodeDecodeError:
-        # the text layer decodes in chunks, so the line of the first bad byte is found in the raw bytes
-        with open(path, "rb") as handle:
-            data = handle.read()
+    text = _read_text(path)
+    split = _plain_split(text)
+    if split is None:
+        # the header is checked before csv.reader reads on, so its faults come first
+        reader = csv.reader(io.StringIO(text, newline=""))
         try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise UnreadableRow(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}") from None
-        raise
-    except csv.Error as exc:
-        raise UnreadableRow(reader.line_num, str(exc)) from None
+            header = next(reader, None)
+        except csv.Error as exc:
+            raise UnreadableRow(reader.line_num, str(exc)) from None
+    else:
+        header, columns, numbers = split
+    if header is None:
+        raise MissingColumn(schema.timestamp)
+    header = [name.strip() for name in header]
 
-    columns = list(zip(*rows)) or [()] * width
+    indoor_cols = _channel_columns(header, schema.indoor_prefix)
+    outdoor_cols = _channel_columns(header, schema.outdoor_prefix)
+    if not indoor_cols:
+        raise MissingColumn(schema.indoor_prefix + "1")
+    if not outdoor_cols:
+        raise MissingColumn(schema.outdoor_prefix + "1")
+
+    positions = {}
+    for name in (schema.timestamp, schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v):
+        if name not in header:
+            raise MissingColumn(name)
+        positions[name] = header.index(name)
+    passenger_col = header.index(schema.passengers) if schema.passengers in header else None
+    read = {*positions, schema.passengers}
+    duplicate = next((name for name, count in Counter(header).items() if count > 1 and name in read), None)
+    if duplicate is not None:
+        raise UnreadableRow(1, f"duplicate column {duplicate!r}")
+    if split is None:
+        columns, numbers = _reader_columns(reader, len(header))
+
     plant_cols = [positions[name] for name in (schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v)]
     optional_cols = [] if passenger_col is None else [passenger_col]
     float_cols = [*indoor_cols, *outdoor_cols, *plant_cols, *optional_cols]
     nonnegative_cols = [positions[schema.v_cool_w], positions[schema.e_v], *optional_cols]
 
     timestamp_col = positions[schema.timestamp]
-    stamps = [_timestamp_micros(cell) for cell in columns[timestamp_col]]
+    stamps, found = _canonical_micros(columns[timestamp_col])
+    bad_stamps = np.zeros(len(numbers), dtype=bool)
+    for i in np.flatnonzero(~found).tolist():
+        micros = _timestamp_micros(columns[timestamp_col][i])
+        if micros is None:
+            bad_stamps[i] = True
+        else:
+            stamps[i] = micros
     values = {col: _float_column(columns[col]) for col in float_cols}
-    faults = np.array([stamp is None for stamp in stamps], dtype=bool)
+    faults = bad_stamps.copy()
     for col in float_cols:
         faults |= np.isinf(values[col])
     for col in nonnegative_cols:
@@ -367,26 +484,25 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
         # the first faulty row, checked in reading order: the timestamp,
         # each number, then the signs of the meters
         i = int(np.argmax(faults))
-        row, cells = numbers[i], rows[i]
-        if stamps[i] is None:
-            raise BadTimestamp(row, cells[timestamp_col])
+        row = numbers[i]
+        if bad_stamps[i]:
+            raise BadTimestamp(row, columns[timestamp_col][i])
         for col in float_cols:
             if np.isinf(values[col][i]):
-                raise BadNumber(row, header[col], cells[col])
+                raise BadNumber(row, header[col], columns[col][i])
         col = next(col for col in nonnegative_cols if values[col][i] < 0)
         raise NegativeValue(row, header[col], float(values[col][i]))
 
-    empty = np.full(len(rows), np.nan)
     water_in, water_out, v_cool_w, e_v = (values[col] for col in plant_cols)
     return RecordTable(
-        timestamp=np.array(stamps, dtype=np.int64).view("datetime64[us]"),
+        timestamp=stamps.view("datetime64[us]"),
         indoor=np.column_stack([values[col] for col in indoor_cols]),
         outdoor=np.column_stack([values[col] for col in outdoor_cols]),
         t_water_in=water_in,
         t_water_out=water_out,
         v_cool_w=v_cool_w,
         e_v=e_v,
-        passengers=empty if passenger_col is None else values[passenger_col],
+        passengers=np.full(len(numbers), np.nan) if passenger_col is None else values[passenger_col],
     )
 
 

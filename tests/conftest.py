@@ -1,14 +1,19 @@
 """Shared fixtures: the reference scenario simulated once per session,
-plus its CSV round trip through the ingestion pipeline."""
+plus its CSV round trip through the ingestion pipeline. Also the "ci"
+hypothesis profile, a deeper run chosen with --hypothesis-profile=ci."""
 
 from __future__ import annotations
 
 import warnings
 
 import pytest
+from hypothesis import settings
 
 from thermosig import Scenario, build_frames, parse_csv, simulate
 from thermosig.synth import IdentifiabilityWarning
+
+# tests that set their own max_examples keep it under this profile too
+settings.register_profile("ci", max_examples=500, deadline=None)
 
 
 @pytest.fixture(scope="session")

@@ -1,4 +1,4 @@
-"""CSV parsing, gap filling, passenger interpolation, mode classing,
+"""CSV parsing, gap filling, passenger spreading, mode classing,
 and frame assembly."""
 
 import math
@@ -35,7 +35,15 @@ from thermosig.errors import (
     UnreadableRow,
     UnsortedAnchors,
 )
-from thermosig.ingest import CHANNELS, FrameSeries, isoformat_utc, time_axis
+from thermosig.ingest import (
+    CHANNELS,
+    FrameSeries,
+    _canonical_micros,
+    _plain_split,
+    _timestamp_micros,
+    isoformat_utc,
+    time_axis,
+)
 
 T0 = datetime(2021, 6, 1, 9, 0, tzinfo=timezone.utc)
 CONSTANTS = StationConstants(step=60.0)
@@ -253,6 +261,143 @@ class TestParseCsv:
         with pytest.raises(IoError) as err:
             parse_csv(path)
         assert err.value.path == path
+
+    @pytest.mark.parametrize("fault,error,column", [
+        ("2021-06-01T09:02:00Z,27,27,33,12,7,oops,0,", BadNumber, "v_cool_w"),
+        ("not-a-time,27,27,33,12,7,0.4,0,", BadTimestamp, None),
+    ])
+    def test_row_after_a_quoted_line_break_names_its_own_line(self, tmp_path, fault, error, column):
+        # the first record spans lines 2 and 3, so the faulty one starts on line 4
+        body = '2021-06-01T09:00:00Z,"27\n",27,33,12,7,0.4,0,\n' + fault + "\n"
+        with pytest.raises(error) as err:
+            parse_csv(self._write(tmp_path, body))
+        assert err.value.row == 4
+        assert getattr(err.value, "column", None) == column
+
+
+HEADER_NAMES = ("timestamp", "t_in_1", "t_in_2", "t_out_1", "t_water_in", "t_water_out", "v_cool_w", "e_v", "passengers")
+PLAIN_HEADER = ",".join(HEADER_NAMES)
+# csv.reader reads "timestamp" as timestamp, and the quote keeps the file off the plain split
+QUOTED_HEADER = PLAIN_HEADER.replace("timestamp", '"timestamp"', 1)
+VALID_NUMBERS = ["27", "0.4", "12.5", "0", "1e3", "7", "", "33.25"]
+ODD_NUMBERS = ["-2.5", "nan", "inf", "-inf", "oops", " ", " 4 ", "1_0", "\u22123", "2\x007", "١٢", "7\u2028", "\x0b7\x85"]
+STAMPS = [
+    "2021-06-01T09:00:00+00:00", "2021-06-01T09:01:00+00:00", "2021-06-01T09:00:00.500000+00:00",
+    "2021-06-01T09:00:00Z", "2021-06-01T11:00:00+02:00", "2021-06-01T09:00:00", "2021-06-01 09:00:00+00:00",
+    " 2021-06-01T09:00:00+00:00", "2021-02-30T09:00:00+00:00", "0000-01-01T00:00:00+00:00",
+    "2021-06-01T24:00:00+00:00", "not-a-time", "",
+]
+
+
+def _quote(cell: str) -> str:
+    return '"' + cell.replace('"', '""') + '"'
+
+
+_cells = st.sampled_from(VALID_NUMBERS * 3 + ODD_NUMBERS) | st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_stamps = st.sampled_from(STAMPS) | st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31), timezones=st.just(timezone.utc)
+).map(datetime.isoformat)
+
+
+@st.composite
+def _lines(draw) -> str:
+    """One physical line or quoted record of a dataset body, line end included."""
+    kind = draw(st.sampled_from(["row"] * 6 + ["blank", "spaces", "commas", "short", "long", "quoted"]))
+    if kind in ("blank", "spaces", "commas"):
+        text = {"blank": "", "spaces": "  ", "commas": " ," * 8}[kind]
+    else:
+        width = draw(st.integers(1, 8) if kind == "short" else st.integers(10, 11) if kind == "long" else st.just(9))
+        cells = [draw(_stamps), *(draw(_cells) for _ in range(width - 1))]
+        if kind == "quoted":
+            at = draw(st.integers(0, width - 1))
+            cells[at] = _quote(cells[at] + draw(st.sampled_from(["", "\n", "\r\n", ","])))
+        text = ",".join(cells)
+    return text + draw(st.sampled_from(["\n", "\n", "\n", "\r\n", "\r\n", "\r"]))
+
+
+def _outcome(path: str):
+    """What parse_csv makes of a file: the table, or the fault it names."""
+    try:
+        return parse_csv(path)
+    except (BadNumber, BadTimestamp, NegativeValue, MissingColumn, UnreadableRow) as exc:
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+
+
+class TestTokenizers:
+    """The plain split and csv.reader give every file the same reading."""
+
+    @settings(deadline=None)
+    @given(bom=st.booleans(), lines=st.lists(_lines(), max_size=6), final_newline=st.booleans())
+    # a plain file, which the plain split reads
+    @example(False, ["2021-06-01T09:00:00+00:00,27,27.5,33,12,7,0.4,0,\n",
+                     "2021-06-01T09:01:00+00:00,27,,33,12,7,0.4,125,60\n"], True)
+    # each file below goes to csv.reader
+    @example(False, ['2021-06-01T09:00:00+00:00,"27\n",27,33,12,7,0.4,0,\n',
+                     "2021-06-01T09:01:00+00:00,27,27,33,12,7,oops,0,\n"], True)
+    @example(False, ["2021-06-01T09:00:00+00:00,27,27,33,12,7,0.4,0,\n", "\n",
+                     "2021-06-01T09:01:00+00:00,27,27,33,12,7,0.4,0,\n"], True)
+    @example(False, ["2021-06-01T09:00:00+00:00,27,27,33,12,7,0.4,0,\n", "  \n", " , , , , , , , ,\n"], True)
+    @example(False, ["2021-06-01T09:00:00+00:00,27,27,33\n"], True)
+    @example(False, ["2021-06-01T09:00:00+00:00,27,27,33,12,7,0.4,0,,extra\n"], True)
+    @example(False, ["2021-06-01T09:00:00+00:00,27,27,33,12,7,0.4,0,\r",
+                     "not-a-time,27,27,33,12,7,0.4,0,\r"], True)
+    @example(False, ["2021-06-01T09:00:00+00:00,2\x007,27,33,12,7,0.4,0,\n"], True)
+    @example(True, ["2021-06-01T09:00:00Z,27,27,33,12,7,0.4,-1,\r\n"], False)
+    @example(False, [], True)
+    @example(False, [], False)
+    def test_plain_split_reads_as_csv_reader(self, tmp_path_factory, bom, lines, final_newline):
+        body = "".join(lines)
+        if not final_newline:
+            body = body.rstrip("\r\n")
+        directory = tmp_path_factory.mktemp("tokenizers")
+        outcomes = []
+        for header in (PLAIN_HEADER, QUOTED_HEADER):
+            path = directory / "data.csv"
+            path.write_bytes(("\ufeff" if bom else "").encode() + (header + "\n" + body).encode())
+            outcomes.append(_outcome(str(path)))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("body", [
+        '2021-06-01T09:00:00Z,"27",27,33,12,7,0.4,0,\n',
+        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n\n",
+        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n,,,,,,,,\n",
+        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0\n",
+        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,,\n",
+        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\r",
+        "2021-06-01T09:00:00Z,2\x007,27,33,12,7,0.4,0,\n",
+        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0," + "7" * 131073 + "\n",
+    ], ids=["quote", "blank-line", "blank-row", "short-row", "long-row", "bare-cr", "nul", "over-long-line"])
+    def test_fallback_triggers_leave_the_plain_split(self, body):
+        assert _plain_split(PLAIN_HEADER + "\n" + body) is None
+
+    def test_plain_file_is_split_by_lines_and_commas(self):
+        header, columns, numbers = _plain_split(PLAIN_HEADER + "\r\n2021-06-01T09:00:00Z,27,, 3,12,7,0.4,0,\r\n"
+                                                "2021-06-01T09:01:00Z,28,1,33,12,7,0.4,0,5")
+        assert header == list(HEADER_NAMES)
+        assert [column[1] for column in columns] == ["2021-06-01T09:01:00Z", "28", "1", "33", "12", "7", "0.4", "0", "5"]
+        assert columns[3] == [" 3", "33"]
+        assert list(numbers) == [2, 3]
+
+    @given(st.lists(_stamps, max_size=8))
+    @example(["2021-06-01T09:00:00+00:00", "9999-12-31T23:59:59+00:00", "0001-01-01T00:00:00+00:00"])
+    @example(["2021-06-01T09:00:00+00:00", "2021-06-01T09:00:00+00:001"])
+    @example(["2021-06-01T11:00:00+02:00", "2021-06-01T09:00:00-00:00"])
+    @example(["2024-02-29T00:00:00+00:00", "2023-02-29T00:00:00+00:00", "2021-04-31T00:00:00+00:00"])
+    @example(["0000-01-01T00:00:00+00:00", "2021-06-01T24:00:00+00:00", "2021-06-01T09:60:00+00:00"])
+    # as long as two cells of the form together, but the first cell's 26th character is not a line end
+    @example(["2021-06-01T09:00:00+00:00x", "021-06-01T09:00:00+00:00"])
+    # a quoted cell may hold a line break, which must not line up the blank cell after it with a stamp
+    @example(["2021-06-01T09:00:00+00:00\n2021-06-01T09:01:00+00:00", "", "x" * 24])
+    def test_block_decoded_stamps_read_as_fromisoformat(self, cells):
+        micros, found = _canonical_micros(cells)
+        for cell, value, hit in zip(cells, micros.tolist(), found.tolist()):
+            if hit:
+                assert value == _timestamp_micros(cell)
+                assert isoformat_utc(np.array([value])) == [cell]
+        # a column in the written form is decoded whole
+        written = [cell for cell in cells if len(cell) == 25 and _timestamp_micros(cell) is not None
+                   and isoformat_utc(np.array([_timestamp_micros(cell)])) == [cell]]
+        assert _canonical_micros(written)[1].all()
 
 
 class TestWriteRoundTrip:
