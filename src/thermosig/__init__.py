@@ -18,7 +18,7 @@ from .ingest import (
     spread_anchors,
     write_records_csv,
 )
-from .models import SupplyBreakdown, balance_target, fan_airflow, load, supply
+from .models import balance_target, fan_airflow, load, supply
 from .regression import (
     FitResult,
     GridSpec,
@@ -56,7 +56,6 @@ __all__ = [
     "parse_csv",
     "spread_anchors",
     "write_records_csv",
-    "SupplyBreakdown",
     "balance_target",
     "fan_airflow",
     "load",

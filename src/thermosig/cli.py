@@ -187,7 +187,7 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
     theta = _theta_from(_read_json(theta_path), theta_path)
     series = _load_frames(config, dataset)
     l_total, l_pil, l_eil = (column[:-1] for column in load(series, theta, config.constants))
-    supplied = supply(series, theta, config.constants).total[:-1]
+    supplied = supply(series, theta, config.constants)[0][:-1]
     signature = {
         "l_total": l_total,
         "l_passenger": l_pil,

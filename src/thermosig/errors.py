@@ -104,7 +104,7 @@ class EmptySystem(RegressionError):
 
 class NonPositiveDenominator(RegressionError):
     def __init__(self):
-        super().__init__("objective denominator is not positive for this theta")
+        super().__init__("objective denominator is not positive and finite for this theta")
 
 
 class DegenerateColumn(RegressionError):
@@ -115,7 +115,7 @@ class DegenerateColumn(RegressionError):
 
 class NoFeasiblePoint(RegressionError):
     def __init__(self):
-        super().__init__("no grid cell has a positive objective denominator")
+        super().__init__("no grid cell has a positive, finite objective denominator")
 
 
 class DivergedState(ThermosigError):

@@ -348,19 +348,18 @@ def _read_text(path: str) -> str:
     """The decoded text of a dataset file, a leading byte order mark
     removed and line ends kept as they are."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as handle:
-            return handle.read()
-    except OSError as exc:
-        raise IoError(path, str(exc)) from None
-    except UnicodeDecodeError:
-        # the line of the first bad byte is found in the raw bytes
         with open(path, "rb") as handle:
             data = handle.read()
-        try:
-            data.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise UnreadableRow(data.count(b"\n", 0, exc.start) + 1, f"not UTF-8: {exc}") from None
-        raise
+    except OSError as exc:
+        raise IoError(path, str(exc)) from None
+    try:
+        return data.decode("utf-8").removeprefix("\ufeff")
+    except UnicodeDecodeError as exc:
+        # the line of the first bad byte, its line ends counted as csv.reader
+        # counts them: \r\n, a bare \r and \n each end one line
+        before = data[: exc.start]
+        line = before.count(b"\n") + before.count(b"\r") - before.count(b"\r\n") + 1
+        raise UnreadableRow(line, f"not UTF-8: {exc}") from None
 
 
 def _plain_split(text: str) -> Optional[tuple[list[str], list[list[str]], range]]:

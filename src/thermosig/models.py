@@ -1,33 +1,24 @@
-"""Load, supply, and energy balance models over a frame series.
+"""Load, supply, and energy balance terms.
 
-Each model takes the whole series and returns one value per frame, or
-per frame with a delta for the balance target. Sign conventions: loads
-heat the zone and are positive when they do; supplies remove heat and
-are positive when they do. The balance says load minus supply equals
-thermal mass times the step temperature change.
+The balance of one step says load minus supply equals thermal mass times
+the step temperature change. Each of its terms is written once, as an
+elementwise function that takes Python floats or numpy arrays and gives
+the same bits on both: load_terms, new_air_supply and
+refrigerator_supply. load and supply evaluate them over a whole frame
+series, regression.assemble takes them at unit coefficients as its rows,
+and synth.simulate calls them once a step. Sign conventions: loads heat
+the zone and are positive when they do; supplies remove heat and are
+positive when they do.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import HvacMode, StationConstants, Theta
 from .ingest import FrameSeries
-
-
-@dataclass(frozen=True)
-class SupplyBreakdown:
-    """Cooling supplied per step, split by path."""
-
-    new_air_part: np.ndarray
-    refrigerator_part: np.ndarray
-
-    @property
-    def total(self) -> np.ndarray:
-        return self.new_air_part + self.refrigerator_part
 
 
 def fan_airflow(e_v, beta_v: float):
@@ -44,34 +35,46 @@ def fan_airflow(e_v, beta_v: float):
     return float(airflow) if airflow.ndim == 0 else airflow
 
 
+def load_terms(c_p, alpha, n, t_in, t_out, t_p):
+    """(passenger, environment) loads: c_p * n * (t_p - t_in), and
+    alpha * (t_out - t_in), which collects every outdoor-coupled path."""
+    return c_p * n * (t_p - t_in), alpha * (t_out - t_in)
+
+
+def new_air_supply(e_v, t_in, t_out, constants: StationConstants):
+    """Heat removed by moving outdoor air through the zone:
+    c * fan_airflow(e_v) * (t_in - t_out)."""
+    return constants.c * fan_airflow(e_v, constants.beta_v) * (t_in - t_out)
+
+
+def refrigerator_supply(beta_ac, t_water_in, t_water_out, v_cool_w):
+    """Heat removed by the chiller loop: (t_water_in - t_water_out) *
+    v_cool_w * beta_ac, positive when the return water is warmer."""
+    return (t_water_in - t_water_out) * v_cool_w * beta_ac
+
+
 def load(
     series: FrameSeries, theta: Theta, constants: StationConstants
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Thermal load on the zone per frame.
-
-    Returns (l_total, l_passenger, l_environment) where the passenger
-    part is c_p * n * (t_p - t_in) and the environment part collects
-    every outdoor-coupled path into alpha * (t_out - t_in).
-    """
-    l_pil = theta.c_p * series.n * (constants.t_p - series.t_in)
-    l_eil = theta.alpha * (series.t_out - series.t_in)
+    """Thermal load on the zone per frame: (l_total, l_passenger,
+    l_environment)."""
+    l_pil, l_eil = load_terms(theta.c_p, theta.alpha, series.n, series.t_in, series.t_out, constants.t_p)
     return l_pil + l_eil, l_pil, l_eil
 
 
-def supply(series: FrameSeries, theta: Theta, constants: StationConstants) -> SupplyBreakdown:
-    """Cooling supplied by the plant per frame, per its mode.
+def supply(
+    series: FrameSeries, theta: Theta, constants: StationConstants
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cooling supplied by the plant per frame, per its mode: (total,
+    new_air, refrigerator), each path zero where its mode is inactive.
 
-    New air removes heat by moving outdoor air through the zone:
-    c * fan_airflow(e_v) * (t_in - t_out). Negative when the intake is
-    warmer than the zone; emitted as-is with a diagnostic warning since
-    clamping would hide an inconsistent mode label.
-    The refrigerator part is (t_water_in - t_water_out) * v_cool_w *
-    beta_ac, positive when the return water is warmer than the supply.
+    New air is negative when the intake is warmer than the zone; it is
+    emitted as-is with a diagnostic warning since clamping would hide an
+    inconsistent mode label.
     """
     vent = np.isin(series.mode, (HvacMode.NEW_AIR, HvacMode.MIXED))
     water = np.isin(series.mode, (HvacMode.REFRIGERATOR, HvacMode.MIXED))
-    airflow = fan_airflow(series.e_v, constants.beta_v)
-    new_air = np.where(vent, constants.c * airflow * (series.t_in - series.t_out), 0.0)
+    new_air = np.where(vent, new_air_supply(series.e_v, series.t_in, series.t_out, constants), 0.0)
     if (new_air < 0).any():
         warnings.warn(
             "new air supply is negative: intake warmer than the zone "
@@ -80,9 +83,9 @@ def supply(series: FrameSeries, theta: Theta, constants: StationConstants) -> Su
             stacklevel=2,
         )
     refrigerator = np.where(
-        water, (series.t_water_in - series.t_water_out) * series.v_cool_w * theta.beta_ac, 0.0
+        water, refrigerator_supply(theta.beta_ac, series.t_water_in, series.t_water_out, series.v_cool_w), 0.0
     )
-    return SupplyBreakdown(new_air_part=new_air, refrigerator_part=refrigerator)
+    return new_air + refrigerator, new_air, refrigerator
 
 
 def balance_target(series: FrameSeries, constants: StationConstants) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Constrained fit of the load coefficients from frame data.
 
-The model per frame is
+The model per frame is the step energy balance,
     a1 * c_p + a2 * alpha - a3 * beta_ac = b
-with a1 = n * (t_p - t_in), a2 = t_out - t_in,
-a3 = v_cool_w * (t_water_in - t_water_out), b = c * m_z * delta.
+whose rows are the terms of `models` at unit coefficients: a1 = n *
+(t_p - t_in) and a2 = t_out - t_in from load_terms, a3 = (t_water_in -
+t_water_out) * v_cool_w from refrigerator_supply, and b = c * m_z *
+delta from balance_target.
 
 The fit minimizes the relative L1 error
     sum |a1 c_p + a2 alpha - a3 beta_ac - b| / sum (a1 c_p + a2 alpha)
@@ -43,6 +45,7 @@ from .errors import (
     NonPositiveDenominator,
 )
 from .ingest import FrameSeries
+from .models import balance_target, load_terms, refrigerator_supply
 
 _BATCH_ELEMENTS = 1 << 16
 # the bracketed weighted median: sample rows, bracket ranks around the
@@ -167,21 +170,17 @@ def assemble(
 ) -> RegressionSystem:
     """Build the regression system from the frames matching the filter.
 
-    This is the one place the row formula lives. Only frames that carry
-    a delta participate. Raises EmptySystem when the filter leaves nothing.
+    The rows are the balance's terms at unit coefficients, (l_passenger,
+    l_environment, refrigerator supply) for c_p = alpha = beta_ac = 1,
+    and the targets the balance target. Only frames that carry a delta
+    participate. Raises EmptySystem when the filter leaves nothing.
     """
     keep = np.flatnonzero(np.isin(series.mode[:-1], tuple(mode_filter)))
     if not len(keep):
         raise EmptySystem()
-    t_in = series.t_in[keep]
-    rows = np.column_stack(
-        [
-            series.n[keep] * (constants.t_p - t_in),
-            series.t_out[keep] - t_in,
-            series.v_cool_w[keep] * (series.t_water_in[keep] - series.t_water_out[keep]),
-        ]
-    )
-    return RegressionSystem(rows=rows, targets=constants.thermal_mass * series.delta[keep])
+    a1, a2 = load_terms(1.0, 1.0, series.n[keep], series.t_in[keep], series.t_out[keep], constants.t_p)
+    a3 = refrigerator_supply(1.0, series.t_water_in[keep], series.t_water_out[keep], series.v_cool_w[keep])
+    return RegressionSystem(rows=np.column_stack([a1, a2, a3]), targets=balance_target(series, constants)[keep])
 
 
 def integrate(system: RegressionSystem) -> RegressionSystem:
@@ -206,13 +205,14 @@ def objective(theta: Theta, system: RegressionSystem, use_integrated: bool = Fal
     """Relative L1 misfit of theta on the system, exactly as defined.
 
     The denominator is the accumulated modeled load sum(a1 c_p + a2 alpha);
-    it must be positive, as in a feasible grid_fit cell. beta_ac enters
-    the numerator with its explicit minus sign.
+    it must be positive and finite, as in a feasible grid_fit cell: an
+    overflowed load would report any misfit as zero. beta_ac enters the
+    numerator with its explicit minus sign.
     """
     rows, targets = _active(system, use_integrated)
     modeled_load = rows[:, 0] * theta.c_p + rows[:, 1] * theta.alpha
     denominator = float(modeled_load.sum())
-    if not denominator > 0:
+    if not 0 < denominator < math.inf:
         raise NonPositiveDenominator()
     numerator = float(np.abs(modeled_load - rows[:, 2] * theta.beta_ac - targets).sum())
     return numerator / denominator
@@ -385,11 +385,11 @@ def grid_fit(
 ) -> FitResult:
     """Grid search over (c_p, alpha) with the closed-form beta per cell.
 
-    Cells where the objective denominator is not positive are infeasible
-    and skipped; if the whole initial grid is infeasible the search
-    fails with NoFeasiblePoint. After the initial pass, each refinement
-    pass re-grids the two-cell neighborhood of the incumbent linearly at
-    full resolution. The incumbent is only ever replaced by a strictly
+    Cells where the objective denominator is not positive and finite are
+    infeasible and skipped; if the whole initial grid is infeasible the
+    search fails with NoFeasiblePoint. After the initial pass, each
+    refinement pass re-grids the two-cell neighborhood of the incumbent
+    linearly at full resolution. The incumbent is only ever replaced by a strictly
     better objective, or at an exact tie by a lexicographically smaller
     (c_p, alpha, beta_ac), so results are deterministic for any thread
     count and refinement never worsens the returned error.
@@ -421,7 +421,7 @@ def grid_fit(
         cell_c_p, cell_alpha = (arr.ravel() for arr in np.meshgrid(c_p_axis, alpha_axis, indexing="ij"))
         beta, numerator = _evaluate_cells(cell_c_p, cell_alpha, rows, targets, threads)
         denominator = cell_c_p * load_sums[0] + cell_alpha * load_sums[1]
-        feasible = denominator > 0
+        feasible = (denominator > 0) & (denominator < np.inf)
         objective_values = np.where(feasible, numerator / np.where(feasible, denominator, 1.0), np.inf)
 
         if pass_index == 0:

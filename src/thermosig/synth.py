@@ -40,7 +40,7 @@ from .ingest import (
     time_axis,
     write_records_csv,
 )
-from .models import fan_airflow
+from .models import load_terms, new_air_supply, refrigerator_supply
 from .regression import assemble
 
 T_IN_FLOOR = -20.0
@@ -251,10 +251,11 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, np.ndarray]:
 
     The latent indoor temperature evolves by
         T(i+1) = T(i) + (load - supply) / (c * m_z)
-    with load and supply evaluated on the latent state. Emitted frames
-    carry the noisy sensor view of the temperatures; frame deltas are
-    differences of the emitted indoor channel, exactly what a consumer
-    re-derives from the CSV.
+    with load and supply the term functions of `models` evaluated on the
+    latent state, one call each a step. Emitted frames carry the noisy
+    sensor view of the temperatures; frame deltas are differences of the
+    emitted indoor channel, exactly what a consumer re-derives from the
+    CSV.
 
     Steps are absolute time; clock times (the hour of day, the hourly
     anchors) read the start's UTC offset throughout.
@@ -285,9 +286,9 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, np.ndarray]:
 
     latent_t = np.empty(n_steps)
     t_out_series = np.empty(n_steps)
-    water_in = np.empty(n_steps)
-    water_out = np.empty(n_steps)
-    v_cool = np.empty(n_steps)
+    water_in_series = np.empty(n_steps)
+    water_out_series = np.full(n_steps, plant.water_supply_temp, dtype=float)
+    v_cool_series = np.empty(n_steps)
     e_v_series = np.empty(n_steps)
 
     temperature = scenario.initial_t_in if scenario.initial_t_in is not None else plant.setpoint
@@ -298,8 +299,7 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, np.ndarray]:
         t_out = scenario.outdoor.temperature(hour)
         t_out_series[i] = t_out
 
-        l_pil = theta.c_p * n_list[i] * (constants.t_p - temperature)
-        l_eil = theta.alpha * (t_out - temperature)
+        l_pil, l_eil = load_terms(theta.c_p, theta.alpha, n_list[i], temperature, t_out, constants.t_p)
         load_total = l_pil + l_eil
 
         error = temperature - plant.setpoint
@@ -310,38 +310,34 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, np.ndarray]:
         elif not cooling_on and error > plant.deadband:
             cooling_on = True
 
+        # the ventilation path is active exactly when classify_mode says so under e_v_idle=0
         e_v = 0.0
+        supply_na = 0.0
         supply_ref = 0.0
         if cooling_on:
             demand = max(load_total + constants.thermal_mass * error * plant.recovery_fraction, 0.0)
             advantage = temperature - t_out
             if demand > 0 and advantage >= plant.new_air_min_advantage and plant.e_v_max > 0:
-                needed_flow = demand / (constants.c * advantage)
-                e_v_needed = (needed_flow / constants.beta_v) ** 3
-                if e_v_needed <= plant.e_v_max:
-                    e_v = max(e_v_needed, e_v_min)
-                else:
-                    e_v = plant.e_v_max
-                    served = constants.c * fan_airflow(e_v, constants.beta_v) * advantage
-                    supply_ref = plant.stage_supply(demand - served)
+                try:
+                    e_v_needed = (demand / (constants.c * advantage) / constants.beta_v) ** 3
+                except (ZeroDivisionError, OverflowError):
+                    # no fan power serves it: air that moves no heat, or a need past the float range
+                    e_v_needed = math.inf
+                e_v = min(max(e_v_needed, e_v_min), plant.e_v_max)
+                supply_na = new_air_supply(e_v, temperature, t_out, constants)
+                if e_v < e_v_needed:
+                    # the fan is at its cap; the chiller serves the rest
+                    supply_ref = plant.stage_supply(demand - supply_na)
             elif demand > 0:
                 supply_ref = plant.stage_supply(demand)
 
+        v_cool = 0.0
+        water_in = plant.water_supply_temp
         if supply_ref > 0 and theta.beta_ac > 0:
-            v_cool[i] = supply_ref / (theta.beta_ac * plant.water_delta_t)
-            water_out[i] = plant.water_supply_temp
-            water_in[i] = plant.water_supply_temp + plant.water_delta_t
-        else:
-            v_cool[i] = 0.0
-            water_out[i] = plant.water_supply_temp
-            water_in[i] = plant.water_supply_temp
-        e_v_series[i] = e_v
-
-        # the ventilation path is active exactly when classify_mode says so under e_v_idle=0
-        supply_na = 0.0
-        if e_v > 0:
-            supply_na = constants.c * fan_airflow(e_v, constants.beta_v) * (temperature - t_out)
-        supply_total = supply_na + (water_in[i] - water_out[i]) * v_cool[i] * theta.beta_ac
+            v_cool = supply_ref / (theta.beta_ac * plant.water_delta_t)
+            water_in = plant.water_supply_temp + plant.water_delta_t
+        v_cool_series[i], water_in_series[i], e_v_series[i] = v_cool, water_in, e_v
+        supply_total = supply_na + refrigerator_supply(theta.beta_ac, water_in, plant.water_supply_temp, v_cool)
 
         temperature = temperature + (load_total - supply_total) / constants.thermal_mass
         if not (T_IN_FLOOR <= temperature <= T_IN_CEILING):
@@ -350,8 +346,8 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, np.ndarray]:
     rng = np.random.default_rng(scenario.seed)
     emitted_t_in = scenario.noise.apply(latent_t, rng)
     emitted_t_out = scenario.noise.apply(t_out_series, rng)
-    emitted_water_in = scenario.noise.apply(water_in, rng)
-    emitted_water_out = scenario.noise.apply(water_out, rng)
+    emitted_water_in = scenario.noise.apply(water_in_series, rng)
+    emitted_water_out = scenario.noise.apply(water_out_series, rng)
 
     series = FrameSeries(
         start=scenario.start,
@@ -361,9 +357,9 @@ def simulate(scenario: Scenario) -> tuple[FrameSeries, np.ndarray]:
         n=n_per_step,
         t_water_in=emitted_water_in,
         t_water_out=emitted_water_out,
-        v_cool_w=v_cool,
+        v_cool_w=v_cool_series,
         e_v=e_v_series,
-        mode=classify_mode(v_cool, water_in, water_out, e_v_series, ModeRule(e_v_idle=0.0)),
+        mode=classify_mode(v_cool_series, water_in_series, water_out_series, e_v_series, ModeRule(e_v_idle=0.0)),
     )
 
     _warn_if_collinear(series, constants)

@@ -158,7 +158,7 @@ def test_criterion_4_energy_balance_closes_on_reingested_data(reference_frames, 
     constants = reference_scenario.constants
     # every frame but the last has a delta
     l_total, _, _ = load(reference_frames, TRUTH, constants)
-    supplied = supply(reference_frames, TRUTH, constants).total
+    supplied = supply(reference_frames, TRUTH, constants)[0]
     residual = l_total[:-1] - supplied[:-1] - balance_target(reference_frames, constants)
     worst = float(np.abs(residual).max())
     scale = float(np.abs(l_total[:-1]).max())

@@ -344,6 +344,23 @@ class TestExitCodes:
                      "--out", str(tmp_path / "fit")])
         assert code == EXIT_DEGENERATE
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_overflowed_load_is_degenerate(self, day_run, tmp_path, capsys):
+        # 1e306 passengers an hour overflow every cell's summed load to inf,
+        # which once reported a fit with relative_error 0
+        lines = Path(day_run.dataset).read_text(encoding="utf-8").splitlines()
+        column = lines[0].split(",").index("passengers")
+        # 181 rows from 05:00, while the plant cools
+        window = [line.split(",") for line in lines[301:482]]
+        for cells in window:
+            if cells[column]:
+                cells[column] = "1e306"
+        dataset = tmp_path / "overflow.csv"
+        dataset.write_text("\n".join([lines[0], *(",".join(cells) for cells in window)]) + "\n", encoding="utf-8")
+        code = main(["fit", "--config", day_run.config, "--dataset", str(dataset), "--out", str(tmp_path / "fit")])
+        assert code == EXIT_DEGENERATE
+        assert "NoFeasiblePoint" in capsys.readouterr().err
+
 
 class TestGoldenOutputs:
     """A noisy day through every command gives the artifact bytes recorded

@@ -240,6 +240,18 @@ class TestParseCsv:
             parse_csv(str(path))
         assert err.value.row == bad_line
 
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+    def test_non_utf8_byte_line_counts_every_line_end(self, tmp_path, line_end):
+        # a BOM, then the bad byte on line 3; a bad number there is named by csv.reader's count
+        rows = [f"2021-06-01T09:0{i}:00Z,27,27,33,12,7,0.4,0,".encode() for i in range(4)]
+        path = tmp_path / "data.csv"
+        for cell, error in ((b"2\xff7", UnreadableRow), (b"2x7", BadNumber)):
+            lines = [self.HEADER.encode(), rows[0], rows[1].replace(b"27", cell, 1), *rows[2:]]
+            path.write_bytes(b"\xef\xbb\xbf" + line_end.encode().join(lines) + line_end.encode())
+            with pytest.raises(error) as err:
+                parse_csv(str(path))
+            assert err.value.row == 3
+
     def test_oversized_field_names_its_line(self, tmp_path):
         body = "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n" + "2021-06-01T09:01:00Z," + "7" * 131073 + ",27,33,12,7,0.4,0,\n"
         with pytest.raises(UnreadableRow, match="field limit") as err:

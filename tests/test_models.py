@@ -4,6 +4,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from thermosig import (
     FrameSeries,
@@ -15,6 +17,7 @@ from thermosig import (
     load,
     supply,
 )
+from thermosig.models import load_terms, new_air_supply, refrigerator_supply
 
 CONSTANTS = StationConstants(c=1210.0, m_z=10000.0, t_p=37.0, beta_v=30.0, step=60.0)
 THETA = Theta(c_p=2.0, alpha=5.0, beta_ac=100.0)
@@ -77,32 +80,32 @@ class TestLoad:
 class TestSupply:
     def test_refrigerator_hand_example(self):
         # (12 - 7) * 0.4 * 100 = 200
-        breakdown = supply(_series(), THETA, CONSTANTS)
-        assert breakdown.refrigerator_part[0] == pytest.approx(200.0)
-        assert breakdown.new_air_part[0] == 0.0
-        assert breakdown.total[0] == pytest.approx(200.0)
+        total, new_air, refrigerator = supply(_series(), THETA, CONSTANTS)
+        assert refrigerator[0] == pytest.approx(200.0)
+        assert new_air[0] == 0.0
+        assert total[0] == pytest.approx(200.0)
 
     def test_off_supplies_nothing(self):
-        breakdown = supply(_series(mode=HvacMode.OFF), THETA, CONSTANTS)
-        assert breakdown.total[0] == 0.0
+        total, _, _ = supply(_series(mode=HvacMode.OFF), THETA, CONSTANTS)
+        assert total[0] == 0.0
 
     def test_new_air_hand_example(self):
         # airflow = 30 * 8**(1/3) = 60; supply = 1210 * 60 * (27 - 25) = 145200
-        breakdown = supply(_series(mode=HvacMode.NEW_AIR, t_out=25.0), THETA, CONSTANTS)
-        assert breakdown.new_air_part[0] == pytest.approx(145200.0, rel=1e-12)
-        assert breakdown.refrigerator_part[0] == 0.0
+        _, new_air, refrigerator = supply(_series(mode=HvacMode.NEW_AIR, t_out=25.0), THETA, CONSTANTS)
+        assert new_air[0] == pytest.approx(145200.0, rel=1e-12)
+        assert refrigerator[0] == 0.0
 
     def test_mixed_sums_both_paths(self):
-        mixed = supply(_series(mode=HvacMode.MIXED, t_out=25.0), THETA, CONSTANTS)
-        new_air = supply(_series(mode=HvacMode.NEW_AIR, t_out=25.0), THETA, CONSTANTS)
-        refrigerator = supply(_series(), THETA, CONSTANTS)
-        assert mixed.total[0] == pytest.approx(new_air.new_air_part[0] + refrigerator.refrigerator_part[0])
+        mixed, _, _ = supply(_series(mode=HvacMode.MIXED, t_out=25.0), THETA, CONSTANTS)
+        _, new_air, _ = supply(_series(mode=HvacMode.NEW_AIR, t_out=25.0), THETA, CONSTANTS)
+        _, _, refrigerator = supply(_series(), THETA, CONSTANTS)
+        assert mixed[0] == pytest.approx(new_air[0] + refrigerator[0])
 
     def test_warm_intake_warns_instead_of_clamping(self):
         # intake at 33 C against a 27 C zone: negative supply, kept as is
         with pytest.warns(RuntimeWarning, match="intake warmer"):
-            breakdown = supply(_series(mode=HvacMode.NEW_AIR), THETA, CONSTANTS)
-        assert breakdown.new_air_part[0] < 0
+            _, new_air, _ = supply(_series(mode=HvacMode.NEW_AIR), THETA, CONSTANTS)
+        assert new_air[0] < 0
 
 
 class TestBalanceTarget:
@@ -113,3 +116,41 @@ class TestBalanceTarget:
     def test_final_frame_has_no_target(self):
         series = _series()
         assert len(balance_target(series, CONSTANTS)) == len(series) - 1
+
+
+VALUES = st.floats(-1e30, 1e30)
+NONNEGATIVE = st.floats(0.0, 1e30)
+
+
+def _bits(values) -> list[int]:
+    """The float64 bit patterns, so -0.0 and 0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.uint64).tolist()
+
+
+class TestTermsBits:
+    """The term functions give on Python floats exactly the elements they
+    give on arrays, so simulate's per-step calls match load and supply."""
+
+    @given(
+        frames=st.lists(st.tuples(NONNEGATIVE, VALUES, VALUES, NONNEGATIVE, VALUES, VALUES, NONNEGATIVE), min_size=1),
+        coefficients=st.tuples(VALUES, VALUES, VALUES),
+        c=st.floats(1e-3, 1e4),
+        beta_v=st.floats(0.0, 1e3),
+        t_p=st.floats(30.0, 40.0),
+    )
+    def test_floats_and_arrays_give_the_same_bits(self, frames, coefficients, c, beta_v, t_p):
+        c_p, alpha, beta_ac = coefficients
+        constants = StationConstants(c=c, beta_v=beta_v, t_p=t_p)
+
+        def terms(n, t_in, t_out, e_v, t_water_in, t_water_out, v_cool_w):
+            return (
+                *load_terms(c_p, alpha, n, t_in, t_out, t_p),
+                new_air_supply(e_v, t_in, t_out, constants),
+                refrigerator_supply(beta_ac, t_water_in, t_water_out, v_cool_w),
+            )
+
+        on_floats = [terms(*frame) for frame in frames]
+        on_arrays = terms(*(np.array(column) for column in zip(*frames)))
+        for k, array in enumerate(on_arrays):
+            assert all(type(values[k]) is float for values in on_floats)
+            assert _bits([values[k] for values in on_floats]) == _bits(array)

@@ -17,6 +17,7 @@ from thermosig import (
     StationConstants,
     Theta,
     assemble,
+    balance_target,
     best_beta,
     grid_fit,
     integrate,
@@ -28,6 +29,7 @@ from thermosig.errors import (
     NoFeasiblePoint,
     NonPositiveDenominator,
 )
+from thermosig.models import load_terms, refrigerator_supply
 
 
 def _series(*frames):
@@ -89,6 +91,24 @@ class TestAssemble:
         with pytest.raises(EmptySystem):
             assemble(series, StationConstants())
 
+    @pytest.mark.parametrize("modes", [tuple(HvacMode), (HvacMode.NEW_AIR, HvacMode.MIXED)], ids=["all", "vent"])
+    def test_rows_are_the_terms_at_unit_coefficients(self, modes):
+        rng = np.random.default_rng(21)
+        frames = [
+            {"mode": mode, "t_in": rng.uniform(15.0, 35.0), "t_out": rng.uniform(10.0, 40.0),
+             "n": rng.uniform(0.0, 50.0), "t_water_in": rng.uniform(7.0, 14.0),
+             "t_water_out": rng.uniform(5.0, 9.0), "v_cool_w": rng.uniform(0.0, 3.0), "e_v": rng.uniform(0.0, 900.0)}
+            for mode in [*HvacMode] * 5
+        ]
+        series = _series(*frames)
+        constants = StationConstants(c=1.21, m_z=12000.0)
+        system = assemble(series, constants, frozenset(modes))
+        kept = np.isin(series.mode[:-1], modes)
+        a1, a2 = load_terms(1.0, 1.0, series.n, series.t_in, series.t_out, constants.t_p)
+        a3 = refrigerator_supply(1.0, series.t_water_in, series.t_water_out, series.v_cool_w)
+        assert system.rows.tobytes() == np.column_stack([a1, a2, a3])[:-1][kept].tobytes()
+        assert system.targets.tobytes() == balance_target(series, constants)[kept].tobytes()
+
 
 class TestRegressionSystem:
     def test_rejects_bad_shapes(self):
@@ -146,6 +166,12 @@ class TestObjective:
         # grid_fit counts such a cell infeasible; a "relative error" of -6 means nothing
         system = _system([[1.0, -2.0, 0.0]], [5.0])
         with pytest.raises(NonPositiveDenominator, match="not positive"):
+            objective(Theta(1.0, 1.0, 0.0), system)
+
+    def test_infinite_denominator_raises(self):
+        # an overflowed load would make every misfit a "relative error" of 0
+        system = _system([[1e308, 0.0, 1.0], [1e308, 0.0, 1.0]], [5.0, 5.0])
+        with np.errstate(over="ignore"), pytest.raises(NonPositiveDenominator, match="finite"):
             objective(Theta(1.0, 1.0, 0.0), system)
 
     def test_unit_rescaling_leaves_the_error_unchanged(self):
@@ -470,6 +496,11 @@ class TestGridFit:
     def test_no_feasible_cell_raises(self):
         system = _system([[-1.0, -1.0, 1.0]], [0.0])
         with pytest.raises(NoFeasiblePoint):
+            grid_fit(system, grid=GridSpec(cells=8))
+
+    def test_overflowed_load_sums_are_infeasible(self):
+        system = _system([[1e308, 1.0, 1.0], [1e308, 1.0, 1.0]], [0.0, 0.0])
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NoFeasiblePoint):
             grid_fit(system, grid=GridSpec(cells=8))
 
     def test_single_cell_grid(self):

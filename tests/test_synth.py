@@ -135,7 +135,7 @@ class TestSimulate:
         scenario = _one_day()
         series, _ = simulate(scenario)
         l_total, _, _ = load(series, scenario.theta_true, scenario.constants)
-        supplied = supply(series, scenario.theta_true, scenario.constants).total
+        supplied = supply(series, scenario.theta_true, scenario.constants)[0]
         residuals = np.abs(l_total[:-1] - supplied[:-1] - balance_target(series, scenario.constants))
         scale = np.abs(l_total[:-1]).max()
         assert residuals.max() <= 1e-9 * scale
@@ -158,6 +158,24 @@ class TestSimulate:
             if end >= steps_per_hour:
                 covered = counts[end - steps_per_hour:end]
                 assert math.fsum(covered) == anchors[end]
+
+    @pytest.mark.parametrize("beta_v", [0.0, 1e-120])
+    def test_fan_that_moves_no_air_leaves_the_demand_to_the_chiller(self, beta_v):
+        # cooling from the first step, with outdoor air usefully cooler than the zone;
+        # the fan's need is a division by zero or overflows a float
+        scenario = _one_day(
+            constants=StationConstants(c=1.21, m_z=12000.0, t_p=37.0, beta_v=beta_v, step=60.0),
+            outdoor=OutdoorProfile(mean=20.0),
+            hvac=HvacPlant(on_hour=0.0, off_hour=23.0),
+            initial_t_in=30.0,
+        )
+        series, _ = simulate(scenario)
+        assert series.e_v[0] == scenario.hvac.e_v_max
+        assert series.mode[0] == HvacMode.MIXED
+        l_total, _, _ = load(series, scenario.theta_true, scenario.constants)
+        supplied = supply(series, scenario.theta_true, scenario.constants)[0]
+        residuals = np.abs(l_total[:-1] - supplied[:-1] - balance_target(series, scenario.constants))
+        assert residuals.max() <= 1e-9 * np.abs(l_total[:-1]).max()
 
     def test_divergence_is_detected(self):
         # an empty, hot station with the plant disabled relaxes toward the
