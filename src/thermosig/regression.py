@@ -25,6 +25,20 @@ batch the weighted median sorts only the rows that a weighted sample
 brackets around the half-weight split, and falls back to the full sort
 wherever rounding could tell the two apart, so every beta is the full
 sort's.
+
+The initial pass evaluates every cell: it is the error surface. A
+refinement pass only has to find its winner, so it runs best-first. Each
+evaluated cell also yields a dual certificate: signs s in [-1, 1] with
+sum s a3 <= 0, whose plane c_p sum s a1 + alpha sum s a2 - sum s b lies
+below the numerator of every cell and meets it at its own (the dual LP
+of Charnes-Cooper and Barrodale-Roberts). The pass evaluates a coarse
+sub-grid, then in rounds the cells with the lowest certified bounds,
+and skips every cell whose best plane, less a stated rounding margin,
+puts its computed objective strictly above the lower of the incumbent
+and the best cell of the pass (branch and bound after Land and Doig).
+Such a cell can neither win nor tie, and every evaluated cell's beta and
+numerator are bit-identical whatever it is evaluated with, so the fit is
+the exhaustive pass's, byte for byte.
 """
 
 from __future__ import annotations
@@ -52,7 +66,10 @@ _BATCH_ELEMENTS = 1 << 16
 # sample's middle, and the rounding margin in units of n_kept * eps * half
 _SAMPLE_ROWS = 512
 _BRACKET_SPAN = 24
+_BRACKET_RANKS = (_SAMPLE_ROWS // 2 - _BRACKET_SPAN, _SAMPLE_ROWS // 2 + _BRACKET_SPAN)
 _MARGIN_ULPS = 8
+# a refinement pass first evaluates every 16th cell per axis, and the last
+_COARSE_STRIDE = 16
 
 
 @dataclass(frozen=True)
@@ -155,6 +172,8 @@ class FitResult:
     used_integration: bool
     hit_bound: bool
     surface: np.ndarray = field(repr=False, compare=False)
+    # cells evaluated per pass: the initial pass in full, refinement pruned
+    cells_evaluated: tuple[int, ...] = field(default=(), compare=False)
 
     def __post_init__(self):
         if not theta_is_feasible(self.theta):
@@ -227,14 +246,8 @@ def _sorted_median(ratios: np.ndarray, weights: np.ndarray, half_weight: float) 
     return ratios[cell, order[cell, pick]]
 
 
-def _evaluate_cells(
-    c_p: np.ndarray,
-    alpha: np.ndarray,
-    rows: np.ndarray,
-    targets: np.ndarray,
-    threads: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form inner solve for every (c_p, alpha) cell.
+class _CellSolver:
+    """Closed-form inner solve for every (c_p, alpha) cell of one system.
 
     For fixed c_p and alpha the numerator is sum |r_i - a3_i * beta| with
     r_i = a1_i c_p + a2_i alpha - b_i, an L1 line fit through the origin.
@@ -259,42 +272,102 @@ def _evaluate_cells(
     Cells are evaluated in batches of about _BATCH_ELEMENTS cell-rows, so
     each float64 working array (512 KiB) fits in a core's L2 cache. Each
     worker takes every `threads`-th batch and reuses one set of working
-    arrays for all of them. The batch size follows from the row count
-    alone, and every cell is reduced along its own row, so the results are
-    bit-identical for any batch size and any `threads`.
+    arrays, allocated once per solver, for all of them. The batch size
+    follows from the row count alone, and every cell is reduced along its
+    own row, so the results are bit-identical for any batch size, any
+    `threads` and any set of cells evaluated together.
 
-    Returns (beta, numerator) per cell.
+    The weights, the sample and the rounding margins depend on the system
+    alone and are built once, so a fit calls the solver once a round.
     """
-    a1, a2, a3 = (np.ascontiguousarray(rows[:, j]) for j in range(3))
-    nonzero = a3 != 0.0
-    # a basic slice keeps residual[:, kept] a view when every row has weight
-    kept = slice(None) if nonzero.all() else np.flatnonzero(nonzero)
-    a3_kept = a3[kept]
-    weights = np.abs(a3_kept)
-    half_weight = 0.5 * weights.sum()
 
-    n_rows, n_kept, n_cells = len(a3), len(weights), len(c_p)
-    beta = np.zeros(n_cells)
-    numerator = np.empty(n_cells)
-    batch = max(1, _BATCH_ELEMENTS // n_rows)
-    if n_kept:
-        cumulative = np.cumsum(weights)
-        quantiles = (np.arange(_SAMPLE_ROWS) + 0.5) / _SAMPLE_ROWS * cumulative[-1]
-        sample = np.minimum(np.searchsorted(cumulative, quantiles), n_kept - 1)
-        ranks = (_SAMPLE_ROWS // 2 - _BRACKET_SPAN, _SAMPLE_ROWS // 2 + _BRACKET_SPAN)
-        # a running sum of the weights, in any order, lies within about
-        # n_kept * eps * half_weight of its exact value. Where the bracket's
-        # sums at the pick and just before it clear the half by more than
-        # two such errors, the full sort's sum crosses the half within the
-        # same run of equal ratios, so both pick the same value; the margin
-        # allows eight
-        margin = _MARGIN_ULPS * n_kept * np.finfo(float).eps * half_weight
+    def __init__(self, rows: np.ndarray, targets: np.ndarray, threads: int):
+        self.a1, self.a2, self.a3 = (np.ascontiguousarray(rows[:, j]) for j in range(3))
+        self.targets = targets
+        self.threads = threads
+        nonzero = self.a3 != 0.0
+        # a basic slice keeps residual[:, kept] a view when every row has weight
+        self.kept = slice(None) if nonzero.all() else np.flatnonzero(nonzero)
+        self.kept_rows = np.flatnonzero(nonzero)
+        self.a3_kept = self.a3[self.kept]
+        self.weights = np.abs(self.a3_kept)
+        self.half_weight = 0.5 * self.weights.sum()
+        self.n_rows, self.n_kept = len(self.a3), len(self.weights)
+        self.batch = max(1, _BATCH_ELEMENTS // self.n_rows)
+        self.buffers = [None] * threads
+        if self.n_kept:
+            cumulative = np.cumsum(self.weights)
+            quantiles = (np.arange(_SAMPLE_ROWS) + 0.5) / _SAMPLE_ROWS * cumulative[-1]
+            self.sample = np.minimum(np.searchsorted(cumulative, quantiles), self.n_kept - 1)
+            # a running sum of the weights, in any order, lies within about
+            # n_kept * eps * half_weight of its exact value. Where the bracket's
+            # sums at the pick and just before it clear the half by more than
+            # two such errors, the full sort's sum crosses the half within the
+            # same run of equal ratios, so both pick the same value; the margin
+            # allows eight
+            self.split_margin = _MARGIN_ULPS * self.n_kept * np.finfo(float).eps * self.half_weight
+        # a certificate's sums against these rows: (g1, g2, g3, sum s_i a3_i)
+        self.columns = np.array([self.a1, self.a2, targets, self.a3])
+        # (n + 16) eps per unit of sum |column|, the rounding slacks of prune_margin
+        self.slacks = (self.n_rows + 16) * np.finfo(float).eps * np.abs(self.columns).sum(axis=1)
 
-    def bracketed_median(ratios: np.ndarray, narrow: np.ndarray, flags: np.ndarray) -> np.ndarray:
+    def __call__(
+        self, c_p: np.ndarray, alpha: np.ndarray, certify: bool = False
+    ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+        """(beta, numerator, planes) per cell; planes only when certify.
+
+        A plane (g1, g2, g3) certifies that every cell (c, a) has a
+        numerator of at least c g1 + a g2 - g3, up to the margin of
+        prune_margin; a row of NaN is a certificate that was dropped.
+        """
+        n_cells = len(c_p)
+        beta = np.zeros(n_cells)
+        numerator = np.empty(n_cells)
+        planes = np.empty((n_cells, 3)) if certify else None
+
+        def run(slot: int, starts: range) -> None:
+            # Arrays freed after every batch went back to the OS, and faulting
+            # them in again took a third of a pass, so each worker slot
+            # allocates once per solver.
+            if self.buffers[slot] is None:
+                self.buffers[slot] = (
+                    np.empty((2, self.batch * self.n_rows)),
+                    np.empty((2, self.batch * self.n_kept)),
+                    np.empty((2, self.batch * self.n_kept), dtype=bool),
+                )
+            wide, narrow, flags = self.buffers[slot]
+            for lo in starts:
+                hi = min(lo + self.batch, n_cells)
+                cells = hi - lo
+                residual, scratch = (buf[: cells * self.n_rows].reshape(cells, self.n_rows) for buf in wide)
+                np.multiply(c_p[lo:hi, None], self.a1, out=residual)
+                residual += np.multiply(alpha[lo:hi, None], self.a2, out=scratch)
+                residual -= self.targets
+                if self.n_kept:
+                    ratios = wide[1, : cells * self.n_kept].reshape(cells, self.n_kept)
+                    np.divide(residual[:, self.kept], self.a3_kept, out=ratios)
+                    beta[lo:hi] = np.maximum(self._bracketed_median(ratios, narrow, flags), 0.0)
+                residual -= np.multiply(beta[lo:hi, None], self.a3, out=scratch)
+                if certify:
+                    np.sign(residual, out=scratch)
+                numerator[lo:hi] = np.abs(residual, out=residual).sum(axis=1)
+                if certify:
+                    planes[lo:hi] = self._certificates(beta[lo:hi], scratch, residual, narrow[0])
+
+        batches = range(0, n_cells, self.batch)
+        workers = min(self.threads, len(batches))
+        if workers > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                list(pool.map(run, range(workers), [batches[k::workers] for k in range(workers)]))
+        else:
+            run(0, batches)
+        return beta, numerator, planes
+
+    def _bracketed_median(self, ratios: np.ndarray, narrow: np.ndarray, flags: np.ndarray) -> np.ndarray:
         # the full sort's pick for every cell, from the rows near the half-weight split
-        cells = len(ratios)
+        cells, n_kept, weights, half_weight = len(ratios), self.n_kept, self.weights, self.half_weight
         # sorting 512 values is faster here than partitioning them at two ranks
-        low, high = np.sort(ratios[:, sample], axis=1)[:, ranks].T[:, :, None]
+        low, high = np.sort(ratios[:, self.sample], axis=1)[:, _BRACKET_RANKS].T[:, :, None]
         below, inside = (buf[: cells * n_kept].reshape(cells, n_kept) for buf in flags)
         np.less(ratios, low, out=below)
         # a masked row sum, not a matrix product: BLAS may reorder the sum per call
@@ -328,39 +401,88 @@ def _evaluate_cells(
         median = middle[cell, order[cell, pick]]
         # a bracket that misses the median leaves `at` below the half or
         # `before` at or above it; NaN sums fail both tests too
-        usable = (at - half_weight > margin) & (half_weight - before > margin)
+        usable = (at - half_weight > self.split_margin) & (half_weight - before > self.split_margin)
         fallback = np.flatnonzero(~usable)
         if len(fallback):
             median[fallback] = _sorted_median(ratios[fallback], weights, half_weight)
         return median
 
-    def run(starts: range) -> None:
-        # Arrays freed after every batch went back to the OS, and faulting
-        # them in again took a third of a pass, so a worker allocates once.
-        wide = np.empty((2, batch * n_rows))
-        narrow = np.empty((2, batch * n_kept))
-        flags = np.empty((2, batch * n_kept), dtype=bool)
-        for lo in starts:
-            hi = min(lo + batch, n_cells)
-            cells = hi - lo
-            residual, scratch = (buf[: cells * n_rows].reshape(cells, n_rows) for buf in wide)
-            np.multiply(c_p[lo:hi, None], a1, out=residual)
-            residual += np.multiply(alpha[lo:hi, None], a2, out=scratch)
-            residual -= targets
-            if n_kept:
-                ratios = wide[1, : cells * n_kept].reshape(cells, n_kept)
-                np.divide(residual[:, kept], a3_kept, out=ratios)
-                beta[lo:hi] = np.maximum(bracketed_median(ratios, narrow, flags), 0.0)
-            residual -= np.multiply(beta[lo:hi, None], a3, out=scratch)
-            numerator[lo:hi] = np.abs(residual, out=residual).sum(axis=1)
+    def _certificates(self, beta: np.ndarray, signs: np.ndarray, sizes: np.ndarray, spare: np.ndarray) -> np.ndarray:
+        """Planes (g1, g2, g3) of a batch from the signs and sizes of its
+        residuals e_i at each cell's beta; signs is changed in place, and
+        spare is a free buffer of a batch's kept rows.
 
-    workers = min(threads, -(-n_cells // batch))
-    if workers > 1:
-        stride = workers * batch
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run, [range(lo, n_cells, stride) for lo in range(0, stride, batch)]))
-    else:
-        run(range(0, n_cells, batch))
+        For s in [-1, 1]^n with sum s_i a3_i <= 0 and any beta >= 0,
+        sum |r_i - beta a3_i| >= sum s_i r_i - beta sum s_i a3_i >= sum s_i r_i,
+        a plane in (c_p, alpha). With s = sign(e) it meets the cell's
+        numerator N there up to beta * sum s_i a3_i. At the weighted median
+        the rows above weigh at most the rows through it, so the median
+        row, whose e_i is about zero, can take the fractional sign that
+        puts the sum at 4 slacks below zero: the plane then stays valid
+        and within about 5 beta slacks of N at the cell. A cell clamped
+        at beta = 0 keeps its signs unless the sum is not below its
+        slack. A certificate whose recomputed sum is still not below it
+        is dropped (NaN).
+        """
+        sums = self._sums(signs)
+        slack = self.slacks[3]
+        moved = np.flatnonzero((beta > 0) | ~(sums[:, 3] <= -slack))
+        if len(moved) and self.n_kept:
+            # |e_i| / |a3_i| is the distance of row i's ratio from beta
+            distance = spare[: len(sizes) * self.n_kept].reshape(len(sizes), self.n_kept)
+            np.divide(sizes[:, self.kept], self.weights, out=distance)
+            row = self.kept_rows[np.argmin(distance, axis=1)[moved]]
+            step = (sums[moved, 3] + 4.0 * slack) / self.a3[row]
+            signs[moved, row] = np.clip(signs[moved, row] - step, -1.0, 1.0)
+            sums = self._sums(signs)
+        sums[~((sums[:, 3] <= -slack) & np.isfinite(sums).all(axis=1))] = np.nan
+        return sums[:, :3]
+
+    def _sums(self, signs: np.ndarray) -> np.ndarray:
+        # einsum without optimize runs its own loops; a BLAS matrix product
+        # here added OpenBLAS's work buffer, about 0.35 MB, to a fit's peak RSS
+        return np.einsum("ij,kj->ik", signs, self.columns)
+
+    def prune_margin(self, c_p: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+        """Rounding margin of the plane test at each cell.
+
+        Let n be the row count, eps = 2**-52 and R(x) = c sum|a1| +
+        alpha sum|a2| + sum|b| at a cell x = (c, alpha) with c, alpha > 0.
+        A certificate's exact plane L(x) is at most the exact numerator
+        of every cell at the kernel's beta (see _certificates), and
+        |L(x)| <= R(x). In floats:
+          - the sums g, in any order, and the plane's three
+            terms put the computed plane within (n + 5) eps R(x) of L(x);
+          - a computed residual is within 2 eps |e_i| + 4 eps (|c a1_i| +
+            |alpha a2_i| + |b_i|) of the exact one, since |beta a3_i| <=
+            |e_i| + |r_i|, and the row sum of the nonnegative |e_i| within
+            (n - 1) eps of its terms' total, so the computed numerator is
+            at least (1 - (n + 3) eps) N - 5 eps R(x);
+          - the test `plane - margin > t' D` itself rounds by at most
+            3 eps R(x) where it passes.
+        So a plane that clears the margin by that test puts the computed
+        numerator at or above t' D, for a margin of (2n + 17) eps R(x)
+        plus the absolute error of subnormal results. This one allows
+        4 (n + 16) eps R(x), about twice that for n below 1e8, and 8 (n + 1)
+        subnormal units. It is absolute, not relative to the objective:
+        a noiseless system whose best objective is about 6e-15 is pruned
+        only where a plane clears the load by about n eps. The slack on
+        sum s_i a3_i is (n + 16) eps sum|a3|, the error bound of that sum in
+        any order.
+        """
+        g1, g2, g3, _ = self.slacks
+        return 4.0 * (c_p * g1 + alpha * g2 + g3) + 8.0 * (self.n_rows + 1) * np.finfo(float).smallest_subnormal
+
+
+def _evaluate_cells(
+    c_p: np.ndarray,
+    alpha: np.ndarray,
+    rows: np.ndarray,
+    targets: np.ndarray,
+    threads: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(beta, numerator) per cell, from one call of a _CellSolver."""
+    beta, numerator, _ = _CellSolver(rows, targets, threads)(c_p, alpha)
     return beta, numerator
 
 
@@ -375,6 +497,67 @@ def best_beta(c_p: float, alpha: float, system: RegressionSystem) -> float:
 def _neighborhood(axis: np.ndarray, value: float) -> tuple[float, float]:
     index = int(np.argmin(np.abs(axis - value)))
     return float(axis[max(index - 2, 0)]), float(axis[min(index + 2, len(axis) - 1)])
+
+
+def _objective_values(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
+    """Each cell's objective, +inf where the denominator is not positive and finite."""
+    feasible = (denominator > 0) & (denominator < np.inf)
+    return np.where(feasible, numerator / np.where(feasible, denominator, 1.0), np.inf)
+
+
+def _pruned_pass(
+    solver: _CellSolver,
+    c_p: np.ndarray,
+    alpha: np.ndarray,
+    denominator: np.ndarray,
+    incumbent: float,
+    cells: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate a refinement pass best-first, skipping the cells that
+    cannot win; returns the evaluated cells' indices, beta and numerator.
+
+    The pass starts with every _COARSE_STRIDE-th cell per axis and the
+    last, then evaluates in rounds the unevaluated cells with the lowest
+    certified lower bounds on their objective, until none is left whose
+    bound could reach t, the lower of the incumbent's objective and the
+    best of the pass so far. Each evaluated cell certifies a plane below
+    every cell's numerator (_CellSolver._certificates). A cell is skipped
+    where such a plane, less prune_margin, exceeds t' D, t' being the
+    float after t: its computed objective is then at least t' and so
+    strictly above the winner's, and it can neither win the pass, tie
+    its winner nor replace the incumbent. The fit is the exhaustive
+    pass's, whatever the rounds; with no finite t or no certificate the
+    rest of the pass is evaluated at once.
+    """
+    n_cells = len(c_p)
+    beta, numerator = np.empty(n_cells), np.empty(n_cells)
+    evaluated = np.zeros(n_cells, dtype=bool)
+    # the highest certified plane at each cell, and the margin it must clear
+    plane = np.full(n_cells, -np.inf)
+    margin = solver.prune_margin(c_p, alpha)
+    round_cells = solver.batch * solver.threads
+    coarse = np.unique(np.r_[0:cells:_COARSE_STRIDE, cells - 1])
+    batch = (coarse[:, None] * cells + coarse).ravel()
+    best = incumbent
+    while len(batch):
+        beta[batch], numerator[batch], planes = solver(c_p[batch], alpha[batch], certify=True)
+        evaluated[batch] = True
+        objective = _objective_values(numerator[batch], denominator[batch])
+        best = float(np.min(objective, initial=best, where=~np.isnan(objective)))
+        # one plane at a time keeps the working set to a few grid-sized arrays
+        for g1, g2, g3 in planes[~np.isnan(planes).any(axis=1)].tolist():
+            np.maximum(plane, c_p * g1 + alpha * g2 - g3, out=plane)
+        batch = np.flatnonzero(~evaluated)
+        if not (math.isfinite(best) and (plane > -np.inf).any()):
+            continue
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            bound = plane[batch] - margin[batch]
+            open_ = ~(bound > np.nextafter(best, math.inf) * denominator[batch])
+            batch, bound = batch[open_], bound[open_]
+            lowest = np.argsort(bound / denominator[batch], kind="stable")
+        batch = batch[lowest[:round_cells]]
+    done = np.flatnonzero(evaluated)
+    return done, beta[done], numerator[done]
 
 
 def grid_fit(
@@ -392,7 +575,9 @@ def grid_fit(
     linearly at full resolution. The incumbent is only ever replaced by a strictly
     better objective, or at an exact tie by a lexicographically smaller
     (c_p, alpha, beta_ac), so results are deterministic for any thread
-    count and refinement never worsens the returned error.
+    count and refinement never worsens the returned error. A refinement
+    pass evaluates only the cells that a certified lower bound leaves in
+    the running (_pruned_pass); the others cannot change the result.
 
     Args:
         system: assembled rows and targets.
@@ -401,15 +586,18 @@ def grid_fit(
         threads: worker threads for cell evaluation.
 
     Returns:
-        FitResult with the winning theta, its relative error, and the initial
-        pass as a (cells^2, 4) surface of (c_p, alpha, beta_ac, objective).
+        FitResult with the winning theta, its relative error, the initial
+        pass as a (cells^2, 4) surface of (c_p, alpha, beta_ac, objective),
+        and the number of cells evaluated in each pass.
     """
     rows, targets = _active(system, use_integrated)
     load_sums = (float(rows[:, 0].sum()), float(rows[:, 1].sum()))
+    solver = _CellSolver(rows, targets, threads)
 
     c_p_axis = grid.c_p_axis()
     alpha_axis = grid.alpha_axis()
     best: Optional[tuple[float, float, float, float]] = None
+    cells_evaluated = []
 
     for pass_index in range(grid.refinement_passes + 1):
         if pass_index > 0:
@@ -419,10 +607,14 @@ def grid_fit(
             alpha_axis = np.linspace(a_lo, a_hi, grid.cells)
 
         cell_c_p, cell_alpha = (arr.ravel() for arr in np.meshgrid(c_p_axis, alpha_axis, indexing="ij"))
-        beta, numerator = _evaluate_cells(cell_c_p, cell_alpha, rows, targets, threads)
         denominator = cell_c_p * load_sums[0] + cell_alpha * load_sums[1]
-        feasible = (denominator > 0) & (denominator < np.inf)
-        objective_values = np.where(feasible, numerator / np.where(feasible, denominator, 1.0), np.inf)
+        if pass_index == 0:
+            beta, numerator, _ = solver(cell_c_p, cell_alpha)
+        else:
+            done, beta, numerator = _pruned_pass(solver, cell_c_p, cell_alpha, denominator, best[0], grid.cells)
+            cell_c_p, cell_alpha, denominator = cell_c_p[done], cell_alpha[done], denominator[done]
+        objective_values = _objective_values(numerator, denominator)
+        cells_evaluated.append(len(objective_values))
 
         if pass_index == 0:
             surface = np.column_stack([cell_c_p, cell_alpha, beta, objective_values])
@@ -457,4 +649,5 @@ def grid_fit(
         used_integration=use_integrated,
         hit_bound=hit_bound,
         surface=surface,
+        cells_evaluated=tuple(cells_evaluated),
     )

@@ -161,6 +161,9 @@ class HvacPlant:
             raise ValueError("need at least one chiller stage")
         if self.water_delta_t <= 0:
             raise ValueError("water_delta_t must be positive")
+        # a negative advantage would run the fan with air warmer than the zone
+        if not self.new_air_min_advantage >= 0:
+            raise ValueError(f"new_air_min_advantage must be nonnegative, got {self.new_air_min_advantage}")
 
     def in_schedule(self, hour_of_day: float) -> bool:
         if self.on_hour <= self.off_hour:

@@ -344,6 +344,15 @@ class TestExitCodes:
                      "--out", str(tmp_path / "fit")])
         assert code == EXIT_DEGENERATE
 
+    def test_negative_new_air_advantage_is_config(self, tmp_path, capsys):
+        # the controller would cool with outdoor air warmer than the zone
+        scenario = {"duration_steps": 1441, "constants": CONSTANTS, "hvac": {"new_air_min_advantage": -10.0}}
+        config = _write_config(tmp_path / "warm_air.json", scenario=scenario)
+        out = tmp_path / "sim"
+        assert main(["simulate", "--config", config, "--out", str(out)]) == EXIT_CONFIG
+        assert "new_air_min_advantage" in capsys.readouterr().err
+        assert not (out / "dataset.csv").exists()
+
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     def test_overflowed_load_is_degenerate(self, day_run, tmp_path, capsys):
         # 1e306 passengers an hour overflow every cell's summed load to inf,

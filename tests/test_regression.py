@@ -1,18 +1,23 @@
 """System assembly, the relative L1 objective, the closed-form inner
-solve, and the grid search."""
+solve, the grid search and its pruned refinement passes."""
 
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 from datetime import datetime, timezone
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from thermosig import regression
 from thermosig import (
+    FitResult,
     FrameSeries,
     GridSpec,
     HvacMode,
+    NoiseModel,
     RegressionSystem,
     StationConstants,
     Theta,
@@ -22,6 +27,7 @@ from thermosig import (
     grid_fit,
     integrate,
     objective,
+    simulate,
 )
 from thermosig.errors import (
     DegenerateColumn,
@@ -415,6 +421,189 @@ class TestBatching:
 
         for c_p, alpha, beta, _ in default.surface[[0, 41, 100, n_cells - 1]]:
             assert beta == _weighted_median_beta(c_p, alpha, system.rows, system.targets)
+
+
+def _exhaustive_fit(system, grid, use_integrated=False, threads=1):
+    """grid_fit with every refinement cell evaluated: each pass through
+    _evaluate_cells in full, then grid_fit's lexsort and incumbent rule."""
+    rows, targets = (system.c_rows, system.d_targets) if use_integrated else (system.rows, system.targets)
+    load_sums = (float(rows[:, 0].sum()), float(rows[:, 1].sum()))
+    c_p_axis, alpha_axis = grid.c_p_axis(), grid.alpha_axis()
+    best = None
+    for pass_index in range(grid.refinement_passes + 1):
+        if pass_index > 0:
+            c_p_axis = np.linspace(*regression._neighborhood(c_p_axis, best[1]), grid.cells)
+            alpha_axis = np.linspace(*regression._neighborhood(alpha_axis, best[2]), grid.cells)
+        c_p, alpha = (arr.ravel() for arr in np.meshgrid(c_p_axis, alpha_axis, indexing="ij"))
+        beta, numerator = regression._evaluate_cells(c_p, alpha, rows, targets, threads)
+        denominator = c_p * load_sums[0] + alpha * load_sums[1]
+        feasible = (denominator > 0) & (denominator < np.inf)
+        values = np.where(feasible, numerator / np.where(feasible, denominator, 1.0), np.inf)
+        if pass_index == 0:
+            surface = np.column_stack([c_p, alpha, beta, values])
+            if not np.isfinite(values).any():
+                raise NoFeasiblePoint()
+        winner = int(np.lexsort((beta, alpha, c_p, values))[0])
+        candidate = (float(values[winner]), float(c_p[winner]), float(alpha[winner]), float(beta[winner]))
+        if np.isfinite(candidate[0]) and (best is None or candidate < best):
+            best = candidate
+    theta = Theta(c_p=best[1], alpha=best[2], beta_ac=best[3])
+    outer_c, outer_a = grid.c_p_axis(), grid.alpha_axis()
+    return FitResult(
+        theta=theta,
+        relative_error=objective(theta, system, use_integrated),
+        grid=grid,
+        mode_frames_used=len(system),
+        used_integration=use_integrated,
+        hit_bound=theta.c_p in (outer_c[0], outer_c[-1]) or theta.alpha in (outer_a[0], outer_a[-1]),
+        surface=surface,
+    )
+
+
+def _assert_fit_is_exhaustive(system, grid, use_integrated=False, threads=1):
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore", RuntimeWarning)
+        try:
+            reference = _exhaustive_fit(system, grid, use_integrated, threads)
+        except NoFeasiblePoint:
+            with pytest.raises(NoFeasiblePoint):
+                grid_fit(system, grid=grid, use_integrated=use_integrated, threads=threads)
+            return None
+        fit = grid_fit(system, grid=grid, use_integrated=use_integrated, threads=threads)
+    assert fit == reference
+    assert fit.surface.tobytes() == reference.surface.tobytes()
+    return fit
+
+
+@pytest.fixture(scope="module")
+def criterion_3_systems(reference_scenario):
+    """Criterion 3's ten noisy systems, with their prefix sums."""
+    noise = NoiseModel(temp_std=0.05, temp_quantization=0.1)
+    systems = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for seed in range(10):
+            scenario = replace(reference_scenario, seed=seed, noise=noise)
+            series, _ = simulate(scenario)
+            systems.append(integrate(assemble(series, scenario.constants)))
+    return systems
+
+
+class TestPrunedRefinement:
+    """A refinement pass skips the cells that a certified lower bound puts
+    above the incumbent; the fit must equal the exhaustive passes'."""
+
+    CRITERION_3_GRID = GridSpec(cells=80, refinement_passes=2)
+
+    @pytest.mark.parametrize("use_integrated", [False, True], ids=["raw", "integrated"])
+    def test_criterion_3_seeds(self, criterion_3_systems, use_integrated):
+        for system in criterion_3_systems:
+            _assert_fit_is_exhaustive(system, self.CRITERION_3_GRID, use_integrated)
+
+    def test_criterion_1_system(self, reference_frames, reference_scenario):
+        # noiseless, so the best objective is about 6e-15: the margins decide
+        system = integrate(assemble(reference_frames, reference_scenario.constants))
+        fit = _assert_fit_is_exhaustive(system, GridSpec(spacing="linear"), use_integrated=True)
+        assert fit.relative_error <= 1e-9
+
+    def test_refinement_evaluates_few_cells(self, criterion_3_systems):
+        # a silent return to exhaustive refinement passes fails here
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            fit = grid_fit(criterion_3_systems[0], grid=self.CRITERION_3_GRID, use_integrated=True)
+        initial, *refinements = fit.cells_evaluated
+        assert initial == 80 * 80
+        assert len(refinements) == 2
+        assert all(0 < count < 0.1 * 80 * 80 for count in refinements)
+
+    @pytest.mark.parametrize(
+        "case", ["mixed-sign a3", "zero a3 rows", "negative a3", "duplicated rows", "all-zero a3"]
+    )
+    @pytest.mark.parametrize("cells_a_batch", [1, None], ids=["one cell a batch", "default batches"])
+    def test_batching_cases(self, case, cells_a_batch, monkeypatch):
+        system = TestBatching._case(case, np.random.default_rng(37))
+        if cells_a_batch:
+            # one cell a round: the most rounds a pass can take
+            monkeypatch.setattr(regression, "_BATCH_ELEMENTS", len(system) * cells_a_batch)
+        _assert_fit_is_exhaustive(system, TestBatching.GRID)
+
+    def test_all_tie_system(self):
+        # every feasible cell scores 1.0; nothing can be pruned strictly above it
+        system = _system([[1.0, 1.0, 0.0]], [0.0])
+        grid = GridSpec(c_p_max=10.0, alpha_max=10.0, cells=5, spacing="linear", refinement_passes=1)
+        fit = _assert_fit_is_exhaustive(system, grid)
+        assert fit.cells_evaluated == (25, 25)
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_thread_counts(self, criterion_3_systems, threads, monkeypatch):
+        # 3066 rows at 512 cells a batch budget: 6 cells a batch, so a round
+        # spreads over every thread
+        monkeypatch.setattr(regression, "_BATCH_ELEMENTS", 6 * 3066)
+        _assert_fit_is_exhaustive(criterion_3_systems[1], GridSpec(cells=40, refinement_passes=2), True, threads)
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 60),
+        zero_a3=st.sampled_from([0.0, 0.3, 1.0]),
+        a3_low=st.sampled_from([-5.0, 0.0]),
+        target_shift=st.sampled_from([0.0, 300.0]),
+        cells=st.integers(2, 14),
+        passes=st.integers(1, 2),
+        spacing=st.sampled_from(["log", "linear"]),
+        cells_a_batch=st.integers(1, 4),
+        integrated=st.booleans(),
+    )
+    def test_random_systems(
+        self, seed, n_rows, zero_a3, a3_low, target_shift, cells, passes, spacing, cells_a_batch, integrated
+    ):
+        # a2 of either sign leaves infeasible cells; targets shifted up give
+        # negative ratios, whose beta clamps to zero
+        rng = np.random.default_rng(seed)
+        a3 = rng.uniform(a3_low, 5.0, n_rows) * (rng.random(n_rows) >= zero_a3)
+        rows = np.column_stack([rng.uniform(0.0, 50.0, n_rows), rng.uniform(-20.0, 20.0, n_rows), a3])
+        system = integrate(_system(rows, rng.normal(target_shift, 100.0, n_rows)))
+        grid = GridSpec(c_p_max=100.0, alpha_max=100.0, cells=cells, spacing=spacing, refinement_passes=passes)
+        with mock.patch.object(regression, "_BATCH_ELEMENTS", n_rows * cells_a_batch):
+            _assert_fit_is_exhaustive(system, grid, integrated)
+
+
+class TestCertificates:
+    """Each plane must lie below the computed numerator of every cell, up
+    to the pruning margin, and meet its own cell's."""
+
+    @pytest.mark.parametrize("case", ["mixed", "zero a3 rows", "clamped", "exact"])
+    def test_planes_bound_the_numerator(self, case):
+        rng = np.random.default_rng(67)
+        for _ in range(20):
+            n_rows = int(rng.integers(1, 700))
+            system = _random_system(rng, n_rows)
+            rows, targets = system.rows.copy(), system.targets.copy()
+            rows[:, 1] -= 10.0
+            if case == "zero a3 rows":
+                rows[rng.random(n_rows) < 0.4, 2] = 0.0
+            elif case == "clamped":
+                rows[:, 2] = np.abs(rows[:, 2])
+                targets += 3000.0
+            elif case == "exact":
+                targets = rows @ [3.0, 2.0, -1.5]
+            solver = regression._CellSolver(rows, targets, 1)
+            c_p, alpha = 10.0 ** rng.uniform(-1, 2, (2, 30))
+            beta, numerator, planes = solver(c_p, alpha, certify=True)
+            valid = ~np.isnan(planes).any(axis=1)
+            assert valid.mean() >= 0.9
+            planes, beta, numerator = planes[valid], beta[valid], numerator[valid]
+
+            at_points = np.column_stack([*10.0 ** rng.uniform(-1, 2, (2, 50)), -np.ones(50)])
+            _, point_numerator, _ = solver(at_points[:, 0], at_points[:, 1])
+            margin = solver.prune_margin(at_points[:, 0], at_points[:, 1])
+            assert (at_points @ planes.T - margin[:, None] <= point_numerator[:, None]).all()
+
+            own = (planes * np.column_stack([c_p[valid], alpha[valid], -np.ones(valid.sum())])).sum(axis=1)
+            # the median row's fractional sign leaves sum s a3 at about -4
+            # slacks, which the plane pays beta times
+            tolerance = solver.prune_margin(c_p[valid], alpha[valid]) + 5.0 * beta * solver.slacks[3]
+            assert (np.abs(numerator - own) <= tolerance).all()
 
 
 class TestGridSpec:

@@ -89,6 +89,11 @@ class TestHvacPlant:
         assert plant.in_schedule(3.0)
         assert not plant.in_schedule(12.0)
 
+    @pytest.mark.parametrize("advantage", [-10.0, float("nan")])
+    def test_new_air_advantage_must_be_nonnegative(self, advantage):
+        with pytest.raises(ValueError, match="new_air_min_advantage"):
+            HvacPlant(new_air_min_advantage=advantage)
+
     def test_stage_supply_rounds_up_to_whole_stages(self):
         plant = HvacPlant(refrigerator_max=9000.0, refrigerator_stages=10)
         assert plant.stage_supply(1.0) == 900.0
