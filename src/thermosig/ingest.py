@@ -12,17 +12,24 @@ A file is read into a RecordTable, one array per column in file order,
 and build_frames turns the table into a FrameSeries on the step grid;
 write_records_csv writes a table back, column by column.
 
-parse_csv decodes a file once and cuts the text into columns with one of
-two tokenizers. A plain file is split at its line ends and then at its
-commas in one pass: it has no quote, NUL or bare carriage return, every
-line has the header's number of commas and fits csv's field limit, and
-no row is blank, so csv.reader would read each line as that split. Any
-other file goes through csv.reader, record by record; it is the
-reference the plain split is tested against. Both give the same columns
-and line numbers, and everything after them converts whole columns:
-numbers as float() reads them, and timestamps in isoformat_utc's
-whole-second form as one block of bytes, with every other timestamp
-cell read on its own.
+parse_csv decodes a file once and reads it _BLOCK_ROWS rows at a time.
+Each block is cut into columns, and one converter turns a block's
+columns into numbers before the next block is cut, so no more than one
+block's cells are ever held as strings: numbers as float() reads them,
+and timestamps in isoformat_utc's whole-second form as one block of
+bytes, with every other timestamp cell read on its own. csv.reader is
+the reference tokenizer. A line with no quote or bare carriage return is
+one csv.reader record, so the text is cut at its line ends into blocks.
+A block is split at its line ends and commas in one pass when csv.reader
+would read each of its lines as that split: no NUL, every line with the
+header's number of commas and within csv's field limit, and no blank
+row. Any other such block goes through csv.reader on its own lines, its
+line numbers offset; csv.reader can run per block because no record
+crosses a line end. From the first block with a quote or a bare carriage
+return on, or from the start when the header has a quote, csv.reader
+reads the records, _BLOCK_ROWS at a time. A faulty cell is raised in
+file order, after a check that no later line is one csv.reader cannot
+read, since that fault is raised first, as when a file was read whole.
 
 Time is kept as int64 microseconds since the epoch, in UTC. A series
 stores only its start and step, and time_axis derives every frame's
@@ -35,13 +42,13 @@ format_floats for numbers.
 from __future__ import annotations
 
 import csv
-import io
 import math
+import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from itertools import repeat
-from typing import Callable, Optional, Sequence
+from itertools import islice, repeat
+from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -362,52 +369,142 @@ def _read_text(path: str) -> str:
         raise UnreadableRow(line, f"not UTF-8: {exc}") from None
 
 
-def _plain_split(text: str) -> Optional[tuple[list[str], list[list[str]], range]]:
-    """(header, columns, line numbers) of text split at its line ends and
-    commas, or None unless csv.reader reads every line of it as exactly
-    that split: no quote, NUL or bare carriage return, no line longer than
-    the csv field limit, every line with the header's number of commas, and
-    no data line whose first cell is blank (so no row is blank)."""
-    if '"' in text or "\0" in text:
+# a physical line, its line end kept: \r\n, a bare \r and \n each end one,
+# as io.StringIO(text, newline="") yields them to csv.reader
+_LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
+
+_Block = tuple[list[Sequence[str]], Sequence[int]]
+
+
+def _lines(text: str, start: int = 0) -> Iterator[str]:
+    """The physical lines of text from offset start on."""
+    return map(re.Match.group, _LINE.finditer(text, start))
+
+
+def _plain_split(block: str, width: int) -> Optional[list[list[str]]]:
+    """The columns of block split at its line ends and commas, or None
+    unless csv.reader reads every line of it as exactly that split: no
+    quote, NUL or bare carriage return, no line longer than the csv field
+    limit, every line with width - 1 commas, and no line whose first cell
+    is blank (so no row is blank)."""
+    if '"' in block or "\0" in block:
         return None
-    if "\r" in text:
-        text = text.replace("\r\n", "\n")
-        if "\r" in text:
+    if "\r" in block:
+        block = block.replace("\r\n", "\n")
+        if "\r" in block:
             return None
-    lines = text.split("\n")
+    lines = block.split("\n")
     if not lines[-1]:
         lines.pop()
-    if not lines or not lines[0] or max(map(len, lines)) > csv.field_size_limit():
+    if max(map(len, lines), default=0) > csv.field_size_limit():
         return None
-    width = lines[0].count(",") + 1
-    if (np.fromiter(map(str.count, lines, repeat(",")), dtype=np.int64, count=len(lines)) != width - 1).any():
+    if set(map(str.count, lines, repeat(","))) != {width - 1}:
         return None
-    del lines  # cut the cells from the text without keeping the lines too
-    cells = text.replace("\n", ",").split(",")
-    if text.endswith("\n"):
+    del lines  # cut the cells from the block without keeping the lines too
+    cells = block.replace("\n", ",").split(",")
+    if block.endswith("\n"):
         cells.pop()
-    columns = [cells[col::width] for col in range(width, 2 * width)]
-    if not all(map(str.strip, columns[0])):
-        return None
-    return cells[:width], columns, range(2, len(columns[0]) + 2)
+    columns = [cells[col::width] for col in range(width)]
+    return columns if all(map(str.strip, columns[0])) else None
 
 
-def _reader_columns(reader, width: int) -> tuple[list[tuple[str, ...]], list[int]]:
-    """(columns, line numbers) of the records csv.reader reads after the
-    header. Blank records are skipped and short ones padded with empty
-    cells. A record is numbered by the line it starts on, which a quoted
-    cell holding a line break puts before the line the reader stops at."""
-    rows, numbers = [], []
-    start = reader.line_num + 1
+def _reader_blocks(reader, width: int, offset: int = 0) -> Iterator[_Block]:
+    """(columns, line numbers) of the records reader reads next, up to
+    _BLOCK_ROWS records at a time. Blank records are skipped and short ones
+    padded with empty cells. A record is numbered by the line it starts
+    on, plus offset; a quoted cell holding a line break puts that line
+    before the one the reader stops at."""
+    while True:
+        rows, numbers, read = [], [], 0
+        start = reader.line_num + 1
+        try:
+            for cells in islice(reader, _BLOCK_ROWS):
+                read += 1
+                if "".join(cells).strip():
+                    rows.append(cells + [""] * (width - len(cells)) if len(cells) < width else cells)
+                    numbers.append(start + offset)
+                start = reader.line_num + 1
+        except csv.Error as exc:
+            raise UnreadableRow(reader.line_num + offset, str(exc)) from None
+        if not read:
+            return
+        if rows:
+            yield list(zip(*rows)), numbers
+
+
+def _line_blocks(text: str, start: int, width: int) -> Iterator[_Block]:
+    """(columns, line numbers) of the lines of text from offset start on,
+    where line 2 begins, _BLOCK_ROWS lines at a time. Lines without a quote
+    or a bare carriage return are csv.reader's records one for one, so such
+    a block goes through the plain split where it qualifies and through
+    csv.reader on its own lines where it does not. From the first other
+    block on, csv.reader reads the rest of the text."""
+    line = 2
+    # up to _BLOCK_ROWS lines, the last of which may lack its line end
+    for match in re.compile(rf"(?:[^\n]*\n){{0,{_BLOCK_ROWS - 1}}}(?:[^\n]*\n|[^\n]+)").finditer(text, start):
+        block = match.group()
+        count = block.count("\n") + (not block.endswith("\n"))
+        columns = _plain_split(block, width)
+        if columns is not None:
+            yield columns, range(line, line + count)
+        elif '"' in block or "\r" in block.replace("\r\n", ""):
+            # a record may run on past a line end, or a bare \r end a line
+            yield from _reader_blocks(csv.reader(_lines(text, match.start())), width, line - 1)
+            return
+        else:
+            yield from _reader_blocks(csv.reader(block.split("\n")), width, line - 1)
+        del columns  # let the block's cells go before the next block is split
+        line += count
+
+
+def _tokenize(text: str) -> tuple[Optional[list[str]], Iterator[_Block]]:
+    """The header csv.reader reads from text (None when there is none) and
+    the blocks of records after it, read as they are taken."""
+    first = _LINE.match(text)
+    if first is None:
+        return None, iter(())
+    # a quoted header may run on past its line, so csv.reader reads the whole text
+    quoted = '"' in first.group()
+    reader = csv.reader(_lines(text) if quoted else [first.group()])
     try:
-        for cells in reader:
-            if "".join(cells).strip():
-                rows.append(cells + [""] * (width - len(cells)) if len(cells) < width else cells)
-                numbers.append(start)
-            start = reader.line_num + 1
+        header = next(reader)
     except csv.Error as exc:
         raise UnreadableRow(reader.line_num, str(exc)) from None
-    return list(zip(*rows)) or [()] * width, numbers
+    return header, _reader_blocks(reader, len(header)) if quoted else _line_blocks(text, first.end(), len(header))
+
+
+def _convert_block(block: _Block, header: list[str], timestamp_col: int, float_cols: list[int],
+                   nonnegative_cols: list[int]) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """(micros, {column: values}) of a block of records, or the error of
+    its first faulty row, checked in reading order: the timestamp, each
+    number, then the signs of the meters."""
+    columns, numbers = block
+    cells = columns[timestamp_col]
+    stamps, found = _canonical_micros(cells)
+    bad_stamps = np.zeros(len(numbers), dtype=bool)
+    for i in np.flatnonzero(~found).tolist():
+        micros = _timestamp_micros(cells[i])
+        if micros is None:
+            bad_stamps[i] = True
+        else:
+            stamps[i] = micros
+    values = {col: _float_column(columns[col]) for col in float_cols}
+    faults = bad_stamps.copy()
+    for col in float_cols:
+        faults |= np.isinf(values[col])
+    for col in nonnegative_cols:
+        faults |= values[col] < 0
+    if faults.any():
+        i = int(np.argmax(faults))
+        row = numbers[i]
+        if bad_stamps[i]:
+            raise BadTimestamp(row, cells[i])
+        for col in float_cols:
+            if np.isinf(values[col][i]):
+                raise BadNumber(row, header[col], columns[col][i])
+        col = next(col for col in nonnegative_cols if values[col][i] < 0)
+        raise NegativeValue(row, header[col], float(values[col][i]))
+    return stamps, values
 
 
 def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
@@ -425,16 +522,8 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     timestamp and the numbers are read before the signs are checked.
     """
     text = _read_text(path)
-    split = _plain_split(text)
-    if split is None:
-        # the header is checked before csv.reader reads on, so its faults come first
-        reader = csv.reader(io.StringIO(text, newline=""))
-        try:
-            header = next(reader, None)
-        except csv.Error as exc:
-            raise UnreadableRow(reader.line_num, str(exc)) from None
-    else:
-        header, columns, numbers = split
+    # the header is checked before the records are read, so its faults come first
+    header, blocks = _tokenize(text)
     if header is None:
         raise MissingColumn(schema.timestamp)
     header = [name.strip() for name in header]
@@ -456,41 +545,30 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     duplicate = next((name for name, count in Counter(header).items() if count > 1 and name in read), None)
     if duplicate is not None:
         raise UnreadableRow(1, f"duplicate column {duplicate!r}")
-    if split is None:
-        columns, numbers = _reader_columns(reader, len(header))
 
     plant_cols = [positions[name] for name in (schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v)]
     optional_cols = [] if passenger_col is None else [passenger_col]
     float_cols = [*indoor_cols, *outdoor_cols, *plant_cols, *optional_cols]
     nonnegative_cols = [positions[schema.v_cool_w], positions[schema.e_v], *optional_cols]
 
-    timestamp_col = positions[schema.timestamp]
-    stamps, found = _canonical_micros(columns[timestamp_col])
-    bad_stamps = np.zeros(len(numbers), dtype=bool)
-    for i in np.flatnonzero(~found).tolist():
-        micros = _timestamp_micros(columns[timestamp_col][i])
-        if micros is None:
-            bad_stamps[i] = True
-        else:
-            stamps[i] = micros
-    values = {col: _float_column(columns[col]) for col in float_cols}
-    faults = bad_stamps.copy()
-    for col in float_cols:
-        faults |= np.isinf(values[col])
-    for col in nonnegative_cols:
-        faults |= values[col] < 0
-    if faults.any():
-        # the first faulty row, checked in reading order: the timestamp,
-        # each number, then the signs of the meters
-        i = int(np.argmax(faults))
-        row = numbers[i]
-        if bad_stamps[i]:
-            raise BadTimestamp(row, columns[timestamp_col][i])
-        for col in float_cols:
-            if np.isinf(values[col][i]):
-                raise BadNumber(row, header[col], columns[col][i])
-        col = next(col for col in nonnegative_cols if values[col][i] < 0)
-        raise NegativeValue(row, header[col], float(values[col][i]))
+    # each block's columns are converted before the next block is split; the
+    # empty first parts give a file without records its empty columns
+    stamp_parts, value_parts = [np.empty(0, dtype=np.int64)], {col: [np.empty(0)] for col in float_cols}
+    try:
+        for block in blocks:
+            stamps, values = _convert_block(block, header, positions[schema.timestamp], float_cols, nonnegative_cols)
+            del block  # its cells go before the next block is split
+            stamp_parts.append(stamps)
+            for col, parts in value_parts.items():
+                parts.append(values[col])
+    except (BadTimestamp, BadNumber, NegativeValue):
+        # a line csv cannot read raises before any cell, wherever it is
+        for _ in blocks:
+            pass
+        raise
+    del text  # every block is read, so the text goes before the columns are joined
+    stamps = np.concatenate(stamp_parts)
+    values = {col: np.concatenate(parts) for col, parts in value_parts.items()}
 
     water_in, water_out, v_cool_w, e_v = (values[col] for col in plant_cols)
     return RecordTable(
@@ -501,12 +579,14 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
         t_water_out=water_out,
         v_cool_w=v_cool_w,
         e_v=e_v,
-        passengers=np.full(len(numbers), np.nan) if passenger_col is None else values[passenger_col],
+        passengers=np.full(len(stamps), np.nan) if passenger_col is None else values[passenger_col],
     )
 
 
 def format_floats(values: np.ndarray) -> list[str]:
     """repr of each float, and an empty cell where it is NaN."""
+    if not np.isnan(values).any():
+        return list(map(repr, values.tolist()))
     return [repr(value) if value == value else "" for value in values.tolist()]
 
 
@@ -697,17 +777,18 @@ def build_frames(
     n_steps = int(slot[-1]) + 1
     start = _utc(micros[0])
 
+    def on_grid(values: np.ndarray) -> np.ndarray:
+        column = np.full(n_steps, np.nan)
+        column[slot] = values[order]
+        return column
+
+    # every reading and the anchor column go onto the grid alike, one at a
+    # time; only the readings are gap-filled
     t_in, t_out = average_channels(table)
     plant = ("t_water_in", "t_water_out", "v_cool_w", "e_v")
-    columns = np.stack([t_in, t_out, *(getattr(table, name) for name in plant), table.passengers])
-    # every reading and the anchor column go onto the grid alike; only the readings are gap-filled
-    on_grid = np.full((len(columns), n_steps), np.nan)
-    on_grid[:, slot] = columns[:, order]
-    *readings, anchors = on_grid
-    channels = {
-        name: _fill_gaps(column, start, step, max_gap) for name, column in zip(("t_in", "t_out", *plant), readings)
-    }
-    n_per_step = spread_anchors(anchors, start, step)
+    readings = zip(("t_in", "t_out", *plant), (t_in, t_out, *(getattr(table, name) for name in plant)))
+    channels = {name: _fill_gaps(on_grid(values), start, step, max_gap) for name, values in readings}
+    n_per_step = spread_anchors(on_grid(table.passengers), start, step)
 
     resolved = rule.resolve(float(channels["e_v"].max()))
     mode = classify_mode(

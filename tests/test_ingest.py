@@ -3,11 +3,13 @@ and frame assembly."""
 
 import math
 import time
+import tracemalloc
 from datetime import datetime, timedelta, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from thermosig import (
@@ -22,6 +24,7 @@ from thermosig import (
     spread_anchors,
     write_records_csv,
 )
+from thermosig import ingest
 from thermosig.errors import (
     BadNumber,
     BadTimestamp,
@@ -41,6 +44,7 @@ from thermosig.ingest import (
     _canonical_micros,
     _plain_split,
     _timestamp_micros,
+    _tokenize,
     isoformat_utc,
     time_axis,
 )
@@ -206,7 +210,7 @@ class TestParseCsv:
         assert table.indoor[0, 0] == -5.0
         assert table.outdoor[0, 0] == -12.0
 
-    @pytest.mark.parametrize("body,error,row,column", [
+    FIRST_FAULTS = [
         # a fault on an earlier row wins over any fault on a later one
         ("2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n"
          "2021-06-01T09:01:00Z,27,27,33,12,7,0.4,-1,\n"
@@ -221,13 +225,54 @@ class TestParseCsv:
         # an empty cell is missing, a nan cell is bad
         ("2021-06-01T09:00:00Z,27,,33,nan,7,0.4,0,\n", BadNumber, 2, "t_water_in"),
         ("2021-06-01T09:00:00Z,nan,27,33,,7,0.4,0,\n", BadNumber, 2, "t_in_1"),
-    ], ids=["negative-row-before-bad-timestamp", "row-beats-column", "indoor-before-v_cool_w",
-            "timestamp-first", "numbers-before-signs", "signs-in-order", "nan-after-empty", "nan-before-empty"])
+    ]
+    FIRST_FAULT_IDS = ["negative-row-before-bad-timestamp", "row-beats-column", "indoor-before-v_cool_w",
+                       "timestamp-first", "numbers-before-signs", "signs-in-order", "nan-after-empty",
+                       "nan-before-empty"]
+
+    @pytest.mark.parametrize("body,error,row,column", FIRST_FAULTS, ids=FIRST_FAULT_IDS)
     def test_first_fault_in_file_order_wins(self, tmp_path, body, error, row, column):
         with pytest.raises(error) as err:
             parse_csv(self._write(tmp_path, body))
         assert err.value.row == row
         assert getattr(err.value, "column", None) == column
+
+    @pytest.mark.parametrize("block_rows", [1, 2])
+    @pytest.mark.parametrize("body,error,row,column", FIRST_FAULTS, ids=FIRST_FAULT_IDS)
+    def test_first_fault_in_file_order_wins_in_small_blocks(self, tmp_path, monkeypatch, block_rows, body, error,
+                                                            row, column):
+        # rows with and without faults fall on both sides of a block boundary
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        self.test_first_fault_in_file_order_wins(tmp_path, body, error, row, column)
+
+    def test_traced_peak_stays_under_4_5_times_the_file_size(self, tmp_path):
+        # ten blocks of rows as the simulator writes them; the quoted header
+        # sends the same body through csv.reader
+        rows = 10 * 4096
+        rng = np.random.default_rng(501)
+        table = RecordTable(
+            timestamp=np.datetime64("2021-06-01T00:00", "us") + np.arange(rows) * np.timedelta64(60, "s"),
+            indoor=26 + rng.integers(-30, 30, (rows, 1)) * 0.1,
+            outdoor=31 + rng.normal(0, 2, (rows, 1)),
+            t_water_in=7 + rng.integers(0, 20, rows) * 0.1,
+            t_water_out=np.full(rows, 12.0),
+            v_cool_w=rng.uniform(0, 0.5, rows),
+            e_v=np.zeros(rows),
+            passengers=np.where(np.arange(rows) % 60 == 0, rng.integers(0, 900, rows), np.nan),
+        )
+        plain = tmp_path / "plain.csv"
+        write_records_csv(table, str(plain))
+        quoted = tmp_path / "quoted.csv"
+        quoted.write_bytes(b'"timestamp"' + plain.read_bytes()[len(b"timestamp"):])
+        for path in (plain, quoted):
+            tracemalloc.start()
+            try:
+                parsed = parse_csv(str(path))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert parsed == table
+            assert peak < 4.5 * path.stat().st_size
 
     @pytest.mark.parametrize("bad_line", [3, 400])
     def test_non_utf8_byte_names_its_line(self, tmp_path, bad_line):
@@ -257,6 +302,19 @@ class TestParseCsv:
         with pytest.raises(UnreadableRow, match="field limit") as err:
             parse_csv(self._write(tmp_path, body))
         assert err.value.row == 3
+
+    @pytest.mark.parametrize("block_rows", [1, 2, 4096])
+    @pytest.mark.parametrize("header", ["timestamp", '"timestamp"'], ids=["plain", "quoted"])
+    def test_oversized_field_beats_an_earlier_bad_cell(self, tmp_path, monkeypatch, block_rows, header):
+        # csv.reader's faults come before any cell's, however far into the file
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        body = ("2021-06-01T09:00:00Z,27,27,33,12,7,oops,0,\n" + "2021-06-01T09:01:00Z,27,27,33,12,7,0.4,0,\n" * 3
+                + "2021-06-01T09:05:00Z," + "7" * 131073 + ",27,33,12,7,0.4,0,\n")
+        path = self._write(tmp_path, body)
+        Path(path).write_text(header + Path(path).read_text()[len("timestamp"):])
+        with pytest.raises(UnreadableRow, match="field limit") as err:
+            parse_csv(path)
+        assert err.value.row == 6
 
     def test_byte_order_mark_is_skipped(self, tmp_path):
         body = "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n"
@@ -338,7 +396,9 @@ def _outcome(path: str):
 class TestTokenizers:
     """The plain split and csv.reader give every file the same reading."""
 
-    @settings(deadline=None)
+    # the small-block test below runs this property from another instance of
+    # the class, which holds no state
+    @settings(deadline=None, suppress_health_check=[HealthCheck.differing_executors])
     @given(bom=st.booleans(), lines=st.lists(_lines(), max_size=6), final_newline=st.booleans())
     # a plain file, which the plain split reads
     @example(False, ["2021-06-01T09:00:00+00:00,27,27.5,33,12,7,0.4,0,\n",
@@ -357,6 +417,15 @@ class TestTokenizers:
     @example(True, ["2021-06-01T09:00:00Z,27,27,33,12,7,0.4,-1,\r\n"], False)
     @example(False, [], True)
     @example(False, [], False)
+    # in blocks of one or two lines, only the last block is not plain
+    @example(False, ["2021-06-01T09:00:00+00:00,27,27,33,12,7,0.4,0,\n",
+                     "2021-06-01T09:01:00+00:00,27,27,33,12,7,oops,0,\n",
+                     "2021-06-01T09:02:00+00:00,27,27,33,12,7,0.4,0,\n",
+                     "2021-06-01T09:03:00+00:00,27,27,33\n"], True)
+    # a cell's fault comes after a line that csv.reader cannot read, wherever that is
+    @example(False, ["2021-06-01T09:00:00+00:00,27,27,33,12,7,oops,0,\n",
+                     "2021-06-01T09:01:00+00:00,27,27,33,12,7,0.4,0,\n",
+                     "2021-06-01T09:02:00+00:00,27," + "7" * 131073 + ",33,12,7,0.4,0,\n"], True)
     def test_plain_split_reads_as_csv_reader(self, tmp_path_factory, bom, lines, final_newline):
         body = "".join(lines)
         if not final_newline:
@@ -369,6 +438,13 @@ class TestTokenizers:
             outcomes.append(_outcome(str(path)))
         assert outcomes[0] == outcomes[1]
 
+    @pytest.mark.parametrize("block_rows", [1, 2])
+    def test_plain_split_reads_as_csv_reader_in_small_blocks(self, tmp_path_factory, monkeypatch, block_rows):
+        # blank, short and long rows, faults and fallback triggers fall on both
+        # sides of a block boundary
+        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
+        self.test_plain_split_reads_as_csv_reader(tmp_path_factory)
+
     @pytest.mark.parametrize("body", [
         '2021-06-01T09:00:00Z,"27",27,33,12,7,0.4,0,\n',
         "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n\n",
@@ -380,11 +456,12 @@ class TestTokenizers:
         "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0," + "7" * 131073 + "\n",
     ], ids=["quote", "blank-line", "blank-row", "short-row", "long-row", "bare-cr", "nul", "over-long-line"])
     def test_fallback_triggers_leave_the_plain_split(self, body):
-        assert _plain_split(PLAIN_HEADER + "\n" + body) is None
+        assert _plain_split(PLAIN_HEADER + "\n" + body, len(HEADER_NAMES)) is None
 
     def test_plain_file_is_split_by_lines_and_commas(self):
-        header, columns, numbers = _plain_split(PLAIN_HEADER + "\r\n2021-06-01T09:00:00Z,27,, 3,12,7,0.4,0,\r\n"
-                                                "2021-06-01T09:01:00Z,28,1,33,12,7,0.4,0,5")
+        header, blocks = _tokenize(PLAIN_HEADER + "\r\n2021-06-01T09:00:00Z,27,, 3,12,7,0.4,0,\r\n"
+                                   "2021-06-01T09:01:00Z,28,1,33,12,7,0.4,0,5")
+        (columns, numbers), = blocks
         assert header == list(HEADER_NAMES)
         assert [column[1] for column in columns] == ["2021-06-01T09:01:00Z", "28", "1", "33", "12", "7", "0.4", "0", "5"]
         assert columns[3] == [" 3", "33"]
