@@ -18,18 +18,16 @@ columns into numbers before the next block is cut, so no more than one
 block's cells are ever held as strings: numbers as float() reads them,
 and timestamps in isoformat_utc's whole-second form as one block of
 bytes, with every other timestamp cell read on its own. csv.reader is
-the reference tokenizer. A line with no quote or bare carriage return is
-one csv.reader record, so the text is cut at its line ends into blocks.
-A block is split at its line ends and commas in one pass when csv.reader
-would read each of its lines as that split: no NUL, every line with the
-header's number of commas and within csv's field limit, and no blank
-row. Any other such block goes through csv.reader on its own lines, its
-line numbers offset; csv.reader can run per block because no record
-crosses a line end. From the first block with a quote or a bare carriage
-return on, or from the start when the header has a quote, csv.reader
-reads the records, _BLOCK_ROWS at a time. A faulty cell is raised in
-file order, after a check that no later line is one csv.reader cannot
-read, since that fault is raised first, as when a file was read whole.
+the reference tokenizer. The text is cut at its line ends into blocks,
+and a block is split at its line ends and commas in one pass when
+csv.reader would read each of its lines as that split: no quote, NUL or
+bare carriage return, every line with the header's number of commas and
+within csv's field limit, and no blank row. From the first block that is
+not so on, or from the start when the header has a quote, csv.reader
+reads the records, _BLOCK_ROWS at a time, their line numbers offset by
+the lines already read. A faulty cell is raised in file order, after a
+check that no later line is one csv.reader cannot read, since that fault
+is raised first, as when a file was read whole.
 
 Time is kept as int64 microseconds since the epoch, in UTC. A series
 stores only its start and step, and time_axis derives every frame's
@@ -434,27 +432,28 @@ def _reader_blocks(reader, width: int, offset: int = 0) -> Iterator[_Block]:
 
 def _line_blocks(text: str, start: int, width: int) -> Iterator[_Block]:
     """(columns, line numbers) of the lines of text from offset start on,
-    where line 2 begins, _BLOCK_ROWS lines at a time. Lines without a quote
-    or a bare carriage return are csv.reader's records one for one, so such
-    a block goes through the plain split where it qualifies and through
-    csv.reader on its own lines where it does not. From the first other
-    block on, csv.reader reads the rest of the text."""
-    line = 2
-    # up to _BLOCK_ROWS lines, the last of which may lack its line end
-    for match in re.compile(rf"(?:[^\n]*\n){{0,{_BLOCK_ROWS - 1}}}(?:[^\n]*\n|[^\n]+)").finditer(text, start):
-        block = match.group()
-        count = block.count("\n") + (not block.endswith("\n"))
-        columns = _plain_split(block, width)
-        if columns is not None:
-            yield columns, range(line, line + count)
-        elif '"' in block or "\r" in block.replace("\r\n", ""):
-            # a record may run on past a line end, or a bare \r end a line
-            yield from _reader_blocks(csv.reader(_lines(text, match.start())), width, line - 1)
+    where line 2 begins, _BLOCK_ROWS lines at a time. Each block goes
+    through the plain split while it qualifies; from the first block that
+    does not on, csv.reader reads the rest of the text."""
+    line, size = 2, _BLOCK_ROWS * start  # a first guess at a block's length: rows as long as the header
+    while start < len(text):
+        # the end of the block's last line: from the last line end within the
+        # guessed length (the last block's), step back or on a line at a time
+        end = text.rfind("\n", start, start + size) + 1 or start
+        count = text.count("\n", start, end)
+        while count > _BLOCK_ROWS:
+            end = text.rfind("\n", start, end - 1) + 1
+            count -= 1
+        while count < _BLOCK_ROWS and end < len(text):
+            end = text.find("\n", end) + 1 or len(text)  # the last line may lack its line end
+            count += 1
+        columns = _plain_split(text[start:end], width)
+        if columns is None:
+            yield from _reader_blocks(csv.reader(_lines(text, start)), width, line - 1)
             return
-        else:
-            yield from _reader_blocks(csv.reader(block.split("\n")), width, line - 1)
+        yield columns, range(line, line + count)
         del columns  # let the block's cells go before the next block is split
-        line += count
+        line, start, size = line + count, end, end - start
 
 
 def _tokenize(text: str) -> tuple[Optional[list[str]], Iterator[_Block]]:
@@ -585,8 +584,6 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
 
 def format_floats(values: np.ndarray) -> list[str]:
     """repr of each float, and an empty cell where it is NaN."""
-    if not np.isnan(values).any():
-        return list(map(repr, values.tolist()))
     return [repr(value) if value == value else "" for value in values.tolist()]
 
 

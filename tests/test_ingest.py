@@ -6,10 +6,11 @@ import time
 import tracemalloc
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from thermosig import (
@@ -210,7 +211,7 @@ class TestParseCsv:
         assert table.indoor[0, 0] == -5.0
         assert table.outdoor[0, 0] == -12.0
 
-    FIRST_FAULTS = [
+    @pytest.mark.parametrize("body,error,row,column", [
         # a fault on an earlier row wins over any fault on a later one
         ("2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n"
          "2021-06-01T09:01:00Z,27,27,33,12,7,0.4,-1,\n"
@@ -225,25 +226,16 @@ class TestParseCsv:
         # an empty cell is missing, a nan cell is bad
         ("2021-06-01T09:00:00Z,27,,33,nan,7,0.4,0,\n", BadNumber, 2, "t_water_in"),
         ("2021-06-01T09:00:00Z,nan,27,33,,7,0.4,0,\n", BadNumber, 2, "t_in_1"),
-    ]
-    FIRST_FAULT_IDS = ["negative-row-before-bad-timestamp", "row-beats-column", "indoor-before-v_cool_w",
-                       "timestamp-first", "numbers-before-signs", "signs-in-order", "nan-after-empty",
-                       "nan-before-empty"]
-
-    @pytest.mark.parametrize("body,error,row,column", FIRST_FAULTS, ids=FIRST_FAULT_IDS)
+    ], ids=["negative-row-before-bad-timestamp", "row-beats-column", "indoor-before-v_cool_w",
+            "timestamp-first", "numbers-before-signs", "signs-in-order", "nan-after-empty", "nan-before-empty"])
     def test_first_fault_in_file_order_wins(self, tmp_path, body, error, row, column):
-        with pytest.raises(error) as err:
-            parse_csv(self._write(tmp_path, body))
-        assert err.value.row == row
-        assert getattr(err.value, "column", None) == column
-
-    @pytest.mark.parametrize("block_rows", [1, 2])
-    @pytest.mark.parametrize("body,error,row,column", FIRST_FAULTS, ids=FIRST_FAULT_IDS)
-    def test_first_fault_in_file_order_wins_in_small_blocks(self, tmp_path, monkeypatch, block_rows, body, error,
-                                                            row, column):
-        # rows with and without faults fall on both sides of a block boundary
-        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
-        self.test_first_fault_in_file_order_wins(tmp_path, body, error, row, column)
+        path = self._write(tmp_path, body)
+        # in blocks of one and two rows, faults fall on both sides of a block boundary
+        for block_rows in (1, 2, 4096):
+            with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), pytest.raises(error) as err:
+                parse_csv(path)
+            assert err.value.row == row
+            assert getattr(err.value, "column", None) == column
 
     def test_traced_peak_stays_under_4_5_times_the_file_size(self, tmp_path):
         # ten blocks of rows as the simulator writes them; the quoted header
@@ -396,9 +388,7 @@ def _outcome(path: str):
 class TestTokenizers:
     """The plain split and csv.reader give every file the same reading."""
 
-    # the small-block test below runs this property from another instance of
-    # the class, which holds no state
-    @settings(deadline=None, suppress_health_check=[HealthCheck.differing_executors])
+    @settings(deadline=None)
     @given(bom=st.booleans(), lines=st.lists(_lines(), max_size=6), final_newline=st.booleans())
     # a plain file, which the plain split reads
     @example(False, ["2021-06-01T09:00:00+00:00,27,27.5,33,12,7,0.4,0,\n",
@@ -431,19 +421,16 @@ class TestTokenizers:
         if not final_newline:
             body = body.rstrip("\r\n")
         directory = tmp_path_factory.mktemp("tokenizers")
-        outcomes = []
-        for header in (PLAIN_HEADER, QUOTED_HEADER):
-            path = directory / "data.csv"
-            path.write_bytes(("\ufeff" if bom else "").encode() + (header + "\n" + body).encode())
-            outcomes.append(_outcome(str(path)))
-        assert outcomes[0] == outcomes[1]
-
-    @pytest.mark.parametrize("block_rows", [1, 2])
-    def test_plain_split_reads_as_csv_reader_in_small_blocks(self, tmp_path_factory, monkeypatch, block_rows):
-        # blank, short and long rows, faults and fallback triggers fall on both
-        # sides of a block boundary
-        monkeypatch.setattr(ingest, "_BLOCK_ROWS", block_rows)
-        self.test_plain_split_reads_as_csv_reader(tmp_path_factory)
+        # in blocks of one and two lines, blank, short and long rows, faults
+        # and fallback triggers fall on both sides of a block boundary
+        for block_rows in (1, 2, 4096):
+            outcomes = []
+            for header in (PLAIN_HEADER, QUOTED_HEADER):
+                path = directory / "data.csv"
+                path.write_bytes(("\ufeff" if bom else "").encode() + (header + "\n" + body).encode())
+                with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+                    outcomes.append(_outcome(str(path)))
+            assert outcomes[0] == outcomes[1]
 
     @pytest.mark.parametrize("body", [
         '2021-06-01T09:00:00Z,"27",27,33,12,7,0.4,0,\n',
