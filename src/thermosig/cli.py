@@ -208,7 +208,8 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
         ["timestamp", "mode", *signature],
         [
             (isoformat_utc, series.micros[:-1]),
-            (lambda modes: [mode.value for mode in modes], series.mode[:-1]),
+            # _value_ is the plain attribute; Enum.value is a Python-level property
+            (lambda modes: [mode._value_ for mode in modes.tolist()], series.mode[:-1]),
             *((format_floats, column) for column in signature.values()),
         ],
         "\n",

@@ -34,7 +34,8 @@ stores only its start and step, and time_axis derives every frame's
 instant from them. No per-frame datetime is built on the way from a CSV
 to an artifact. write_columns writes every CSV artifact, formatting
 blocks of rows a column at a time: isoformat_utc for instants and
-format_floats for numbers.
+format_floats for numbers, which formats each distinct value of a block
+once.
 """
 
 from __future__ import annotations
@@ -584,7 +585,11 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
 
 def format_floats(values: np.ndarray) -> list[str]:
     """repr of each float, and an empty cell where it is NaN."""
-    return [repr(value) if value == value else "" for value in values.tolist()]
+    # sensor readings repeat a few values, so format each distinct bit
+    # pattern once; bits, not float equality, keep -0.0 apart from 0.0
+    distinct, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+    cells = np.array([repr(value) if value == value else "" for value in distinct.view(float).tolist()], dtype=object)
+    return cells[inverse].tolist()
 
 
 def write_columns(path: str, header: list[str], columns: list[tuple[Callable, np.ndarray]], terminator: str) -> None:

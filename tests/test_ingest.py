@@ -46,8 +46,10 @@ from thermosig.ingest import (
     _plain_split,
     _timestamp_micros,
     _tokenize,
+    format_floats,
     isoformat_utc,
     time_axis,
+    write_columns,
 )
 
 T0 = datetime(2021, 6, 1, 9, 0, tzinfo=timezone.utc)
@@ -502,6 +504,35 @@ class TestWriteRoundTrip:
         empty = RecordTable(**{name: column[:0] for name, column in vars(empty).items()})
         with pytest.raises(ValueError):
             write_records_csv(empty, str(tmp_path / "out.csv"))
+
+
+# values that repeat, kept as an array so that the NaN payloads reach format_floats
+_FLOAT_POOL = np.concatenate([
+    # NaNs of both signs, quiet and signalling, with payloads
+    np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8000000000000, 0xFFF00000DEADBEEF],
+             dtype=np.uint64).view(float),
+    [0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 1e-310, 2.2250738585072009e-308],
+    [0.1, 27.1, -3.5, 1e16, 123456.789, 26.999999999999996],
+])
+
+
+class TestFormatFloats:
+    @settings(deadline=None)
+    @given(
+        size=st.integers(1, 4100),
+        pool=st.lists(st.sampled_from(range(len(_FLOAT_POOL))), min_size=1, max_size=len(_FLOAT_POOL), unique=True),
+        seed=st.integers(0, 2**32 - 1),
+        strided=st.booleans(),
+    )
+    def test_matches_repr_of_each_cell(self, size, pool, seed, strided):
+        drawn = np.random.default_rng(seed).choice(_FLOAT_POOL[pool], size=size * (2 if strided else 1))
+        values = drawn[::2] if strided else drawn
+        assert format_floats(values) == [repr(value) if value == value else "" for value in values.tolist()]
+
+    def test_signed_zeros_and_nan_in_one_block(self, tmp_path):
+        path = tmp_path / "out.csv"
+        write_columns(str(path), ["x"], [(format_floats, np.array([0.0, -0.0, math.nan, -0.0, 0.0]))], "\n")
+        assert path.read_text().splitlines() == ["x", "0.0", "-0.0", "", "-0.0", "0.0"]
 
 
 class TestRecordTable:
