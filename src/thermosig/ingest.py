@@ -326,14 +326,7 @@ def _float_column(cells: Sequence[str]) -> np.ndarray:
             return values
     except ValueError:
         pass
-    try:
-        values = np.array([float(cell) if cell else math.nan for cell in cells])
-        # every NaN came from an empty cell, none from a cell reading "nan"
-        if np.count_nonzero(np.isnan(values)) == cells.count(""):
-            return values
-    except ValueError:
-        pass
-    return np.array([_lenient_float(cell) for cell in cells])
+    return np.array([_lenient_float(cell) if cell else math.nan for cell in cells])
 
 
 def _channel_columns(header: list[str], prefix: str) -> list[int]:
@@ -548,8 +541,9 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
 
     plant_cols = [positions[name] for name in (schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v)]
     optional_cols = [] if passenger_col is None else [passenger_col]
-    float_cols = [*indoor_cols, *outdoor_cols, *plant_cols, *optional_cols]
-    nonnegative_cols = [positions[schema.v_cool_w], positions[schema.e_v], *optional_cols]
+    # in header order, so that a row's first faulty cell is named in file order
+    float_cols = sorted([*indoor_cols, *outdoor_cols, *plant_cols, *optional_cols])
+    nonnegative_cols = sorted([positions[schema.v_cool_w], positions[schema.e_v], *optional_cols])
 
     # each block's columns are converted before the next block is split; the
     # empty first parts give a file without records its empty columns

@@ -474,23 +474,11 @@ class _CellSolver:
         return 4.0 * (c_p * g1 + alpha * g2 + g3) + 8.0 * (self.n_rows + 1) * np.finfo(float).smallest_subnormal
 
 
-def _evaluate_cells(
-    c_p: np.ndarray,
-    alpha: np.ndarray,
-    rows: np.ndarray,
-    targets: np.ndarray,
-    threads: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(beta, numerator) per cell, from one call of a _CellSolver."""
-    beta, numerator, _ = _CellSolver(rows, targets, threads)(c_p, alpha)
-    return beta, numerator
-
-
 def best_beta(c_p: float, alpha: float, system: RegressionSystem) -> float:
     """Exact nonnegative minimizer of the L1 numerator over beta_ac."""
     if not (system.rows[:, 2] != 0.0).any():
         raise DegenerateColumn("a3")
-    beta, _ = _evaluate_cells(np.array([c_p]), np.array([alpha]), system.rows, system.targets, threads=1)
+    beta, _, _ = _CellSolver(system.rows, system.targets, 1)(np.array([c_p]), np.array([alpha]))
     return float(beta[0])
 
 

@@ -138,7 +138,8 @@ class TestSignature:
         assert json.loads((out / "summary.json").read_text())["integrated_relative_error"] is None
 
     def test_accepts_a_fit_result_as_theta_source(self, day_run):
-        fit_out = day_run.root / "fit"
+        fit_out = day_run.root / "fit_for_signature"
+        assert main(["fit", "--config", day_run.config, "--dataset", day_run.dataset, "--out", str(fit_out)]) == EXIT_OK
         out = day_run.root / "signature_from_fit"
         code = main(["signature", "--config", day_run.config, "--dataset", day_run.dataset,
                      "--theta", str(fit_out / "fit.json"), "--out", str(out)])

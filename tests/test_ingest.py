@@ -239,6 +239,34 @@ class TestParseCsv:
             assert err.value.row == row
             assert getattr(err.value, "column", None) == column
 
+    @pytest.mark.parametrize("row,error", [
+        ("2021-06-01T09:00:00Z,abc,xyz,33,12,7,0.4", BadNumber),
+        ("2021-06-01T09:00:00Z,-1,27,33,12,7,-0.4", NegativeValue),
+    ], ids=["numbers", "signs"])
+    def test_first_fault_in_a_reordered_header(self, tmp_path, row, error):
+        # e_v comes before the temperatures and v_cool_w here, so the file's
+        # column order is not the schema's
+        path = tmp_path / "data.csv"
+        path.write_text("timestamp,e_v,t_in_1,t_out_1,t_water_in,t_water_out,v_cool_w\n" + row + "\n",
+                        encoding="utf-8")
+        with pytest.raises(error) as err:
+            parse_csv(str(path))
+        assert (err.value.row, err.value.column) == (2, "e_v")
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e999", "abc"])
+    def test_bad_cell_after_empty_cells(self, tmp_path, cell):
+        # a column that cannot be read whole is read cell by cell: an empty or
+        # whitespace-only cell is missing, any other that is not a finite number bad
+        blanks = ["", " ", "", "\t"]
+        body = "".join(f"2021-06-01T09:0{i}:00Z,27,{blank},33,12,7,0.4,0,\n" for i, blank in enumerate(blanks))
+        path = self._write(tmp_path, body + f"2021-06-01T09:04:00Z,27,{cell},33,12,7,0.4,0,\n")
+        for block_rows in (1, 2, 4096):
+            with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), pytest.raises(BadNumber) as err:
+                parse_csv(path)
+            assert (err.value.row, err.value.column) == (6, "t_in_2")
+            assert repr(cell) in str(err.value)
+        assert np.isnan(parse_csv(self._write(tmp_path, body)).indoor[:, 1]).all()
+
     def test_traced_peak_stays_under_4_5_times_the_file_size(self, tmp_path):
         # ten blocks of rows as the simulator writes them; the quoted header
         # sends the same body through csv.reader

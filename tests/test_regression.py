@@ -267,7 +267,7 @@ class TestBracketedMedian:
     @staticmethod
     def _check(rows, targets, c_p, alpha):
         rows, targets = np.asarray(rows, dtype=float), np.asarray(targets, dtype=float)
-        beta, _ = regression._evaluate_cells(np.asarray(c_p, float), np.asarray(alpha, float), rows, targets, 1)
+        beta, _, _ = regression._CellSolver(rows, targets, 1)(np.asarray(c_p, float), np.asarray(alpha, float))
         for cell, (cp, al) in enumerate(zip(c_p, alpha)):
             assert beta[cell] == _weighted_median_beta(cp, al, rows, targets), cell
 
@@ -330,7 +330,7 @@ class TestBracketedMedian:
             targets = rows[:, 0] * 2000.0 + rows[:, 1] * 2000.0
         self._check(rows, targets, *self._cells(rng))
         if case == "all ratios negative":
-            beta, _ = regression._evaluate_cells(*self._cells(rng), rows, targets, 1)
+            beta, _, _ = regression._CellSolver(rows, targets, 1)(*self._cells(rng))
             assert (beta == 0.0).all()
 
     @pytest.mark.parametrize("n_rows", [1, 2, 3, 100, regression._SAMPLE_ROWS - 1])
@@ -424,8 +424,8 @@ class TestBatching:
 
 
 def _exhaustive_fit(system, grid, use_integrated=False, threads=1):
-    """grid_fit with every refinement cell evaluated: each pass through
-    _evaluate_cells in full, then grid_fit's lexsort and incumbent rule."""
+    """grid_fit with every refinement cell evaluated: each pass is one
+    _CellSolver call over all its cells, then grid_fit's lexsort and incumbent rule."""
     rows, targets = (system.c_rows, system.d_targets) if use_integrated else (system.rows, system.targets)
     load_sums = (float(rows[:, 0].sum()), float(rows[:, 1].sum()))
     c_p_axis, alpha_axis = grid.c_p_axis(), grid.alpha_axis()
@@ -435,7 +435,7 @@ def _exhaustive_fit(system, grid, use_integrated=False, threads=1):
             c_p_axis = np.linspace(*regression._neighborhood(c_p_axis, best[1]), grid.cells)
             alpha_axis = np.linspace(*regression._neighborhood(alpha_axis, best[2]), grid.cells)
         c_p, alpha = (arr.ravel() for arr in np.meshgrid(c_p_axis, alpha_axis, indexing="ij"))
-        beta, numerator = regression._evaluate_cells(c_p, alpha, rows, targets, threads)
+        beta, numerator, _ = regression._CellSolver(rows, targets, threads)(c_p, alpha)
         denominator = c_p * load_sums[0] + alpha * load_sums[1]
         feasible = (denominator > 0) & (denominator < np.inf)
         values = np.where(feasible, numerator / np.where(feasible, denominator, 1.0), np.inf)
