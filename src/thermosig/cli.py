@@ -20,13 +20,7 @@ from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
 from .core import HvacMode, StationConstants, Theta, from_json
-from .errors import (
-    ConfigError,
-    IngestError,
-    IoError,
-    RegressionError,
-    ThermosigError,
-)
+from .errors import ConfigError, IoError, RegressionError, ThermosigError
 from .ingest import (
     CsvSchema, FrameSeries, ModeRule, build_frames, format_floats, isoformat_utc, parse_csv, time_axis, write_columns
 )
@@ -121,6 +115,12 @@ def _system(config: RunConfig, series: FrameSeries) -> RegressionSystem:
     return integrate(assemble(series, config.constants, config.mode_filter))
 
 
+def _dataset_entry(series: FrameSeries) -> dict:
+    """truth.json's description of the dataset, which eval checks key by key."""
+    start = isoformat_utc(time_axis(series.start, series.step, 1))[0]
+    return {"rows": len(series), "start": start, "step": series.step}
+
+
 def _fit_payload(result: FitResult) -> dict:
     return {
         "theta": asdict(result.theta),
@@ -146,11 +146,7 @@ def cmd_simulate(config: RunConfig, out_dir: str) -> None:
         {
             "theta": asdict(scenario.theta_true),
             "constants": asdict(scenario.constants),
-            "dataset": {
-                "rows": len(series),
-                "start": isoformat_utc(time_axis(series.start, series.step, 1))[0],
-                "step": series.step,
-            },
+            "dataset": _dataset_entry(series),
         },
     )
     print(f"wrote {dataset_path} ({len(series)} rows) and truth.json")
@@ -256,12 +252,7 @@ def cmd_eval(config: RunConfig, dataset: str, truth_path: str, out_dir: str) -> 
     if described is not None:
         if not isinstance(described, dict):
             raise ConfigError(f"{truth_path}: 'dataset' must be an object, got {described!r}")
-        matches = (
-            described.get("rows") == len(series)
-            and described.get("step") == series.step
-            and described.get("start") == isoformat_utc(time_axis(series.start, series.step, 1))[0]
-        )
-        if not matches:
+        if not all(described.get(key) == value for key, value in _dataset_entry(series).items()):
             raise ConfigError(
                 f"{truth_path} describes a different dataset "
                 f"(rows/start/step do not match {dataset})"
@@ -353,7 +344,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except IoError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (IngestError, RegressionError, ThermosigError) as exc:
+    except ThermosigError as exc:
         print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
     except OSError as exc:

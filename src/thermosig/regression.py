@@ -487,10 +487,24 @@ def _neighborhood(axis: np.ndarray, value: float) -> tuple[float, float]:
     return float(axis[max(index - 2, 0)]), float(axis[min(index + 2, len(axis) - 1)])
 
 
+def _pass_cells(
+    c_p_axis: np.ndarray, alpha_axis: np.ndarray, load_sums: tuple[float, float]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A pass's cells, c_p-major, and the objective denominator at each."""
+    c_p, alpha = (arr.ravel() for arr in np.meshgrid(c_p_axis, alpha_axis, indexing="ij"))
+    return c_p, alpha, c_p * load_sums[0] + alpha * load_sums[1]
+
+
 def _objective_values(numerator: np.ndarray, denominator: np.ndarray) -> np.ndarray:
     """Each cell's objective, +inf where the denominator is not positive and finite."""
     feasible = (denominator > 0) & (denominator < np.inf)
     return np.where(feasible, numerator / np.where(feasible, denominator, 1.0), np.inf)
+
+
+def _winner(values: np.ndarray, c_p: np.ndarray, alpha: np.ndarray, beta: np.ndarray) -> tuple[float, ...]:
+    """(objective, c_p, alpha, beta_ac) at the lowest objective, ties to the smallest (c_p, alpha, beta_ac)."""
+    cell = int(np.lexsort((beta, alpha, c_p, values))[0])
+    return float(values[cell]), float(c_p[cell]), float(alpha[cell]), float(beta[cell])
 
 
 def _pruned_pass(
@@ -571,57 +585,41 @@ def grid_fit(
         system: assembled rows and targets.
         grid: axis bounds, resolution, spacing, and refinement depth.
         use_integrated: fit on the prefix sums that integrate attached.
-        threads: worker threads for cell evaluation.
+        threads: worker threads for cell evaluation, at least 1.
 
     Returns:
         FitResult with the winning theta, its relative error, the initial
         pass as a (cells^2, 4) surface of (c_p, alpha, beta_ac, objective),
         and the number of cells evaluated in each pass.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     rows, targets = _active(system, use_integrated)
     load_sums = (float(rows[:, 0].sum()), float(rows[:, 1].sum()))
     solver = _CellSolver(rows, targets, threads)
+    outer_c, outer_a = grid.c_p_axis(), grid.alpha_axis()
 
-    c_p_axis = grid.c_p_axis()
-    alpha_axis = grid.alpha_axis()
-    best: Optional[tuple[float, float, float, float]] = None
-    cells_evaluated = []
+    c_p, alpha, denominator = _pass_cells(outer_c, outer_a, load_sums)
+    beta, numerator, _ = solver(c_p, alpha)
+    values = _objective_values(numerator, denominator)
+    surface = np.column_stack([c_p, alpha, beta, values])
+    if not np.isfinite(values).any():
+        raise NoFeasiblePoint()
+    best = _winner(values, c_p, alpha, beta)
+    cells_evaluated = [len(values)]
 
-    for pass_index in range(grid.refinement_passes + 1):
-        if pass_index > 0:
-            c_lo, c_hi = _neighborhood(c_p_axis, best[1])
-            a_lo, a_hi = _neighborhood(alpha_axis, best[2])
-            c_p_axis = np.linspace(c_lo, c_hi, grid.cells)
-            alpha_axis = np.linspace(a_lo, a_hi, grid.cells)
-
-        cell_c_p, cell_alpha = (arr.ravel() for arr in np.meshgrid(c_p_axis, alpha_axis, indexing="ij"))
-        denominator = cell_c_p * load_sums[0] + cell_alpha * load_sums[1]
-        if pass_index == 0:
-            beta, numerator, _ = solver(cell_c_p, cell_alpha)
-        else:
-            done, beta, numerator = _pruned_pass(solver, cell_c_p, cell_alpha, denominator, best[0], grid.cells)
-            cell_c_p, cell_alpha, denominator = cell_c_p[done], cell_alpha[done], denominator[done]
-        objective_values = _objective_values(numerator, denominator)
-        cells_evaluated.append(len(objective_values))
-
-        if pass_index == 0:
-            surface = np.column_stack([cell_c_p, cell_alpha, beta, objective_values])
-            if not np.isfinite(objective_values).any():
-                raise NoFeasiblePoint()
-
-        winner = int(np.lexsort((beta, cell_alpha, cell_c_p, objective_values))[0])
-        candidate = (
-            float(objective_values[winner]),
-            float(cell_c_p[winner]),
-            float(cell_alpha[winner]),
-            float(beta[winner]),
-        )
-        if np.isfinite(candidate[0]) and (best is None or candidate < best):
-            best = candidate
+    c_p_axis, alpha_axis = outer_c, outer_a
+    for _ in range(grid.refinement_passes):
+        c_p_axis = np.linspace(*_neighborhood(c_p_axis, best[1]), grid.cells)
+        alpha_axis = np.linspace(*_neighborhood(alpha_axis, best[2]), grid.cells)
+        c_p, alpha, denominator = _pass_cells(c_p_axis, alpha_axis, load_sums)
+        done, beta, numerator = _pruned_pass(solver, c_p, alpha, denominator, best[0], grid.cells)
+        cells_evaluated.append(len(done))
+        candidate = _winner(_objective_values(numerator, denominator[done]), c_p[done], alpha[done], beta)
+        # best is finite, so an infinite or NaN objective never replaces it
+        best = min(best, candidate)
 
     theta = Theta(c_p=best[1], alpha=best[2], beta_ac=best[3])
-    outer_c = grid.c_p_axis()
-    outer_a = grid.alpha_axis()
     hit_bound = theta.c_p in (outer_c[0], outer_c[-1]) or theta.alpha in (outer_a[0], outer_a[-1])
     if hit_bound:
         warnings.warn(

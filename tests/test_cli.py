@@ -187,6 +187,18 @@ class TestEval:
                      "--theta", str(tampered), "--out", str(tmp_path)])
         assert code == EXIT_CONFIG
 
+    def test_rejects_truth_with_a_different_start_or_step(self, day_run, tmp_path):
+        text = open(day_run.truth, encoding="utf-8").read()
+        step = json.loads(text)["dataset"]["step"]
+        for key, value in (("start", "2000-01-01T00:00:00+00:00"), ("step", step + 1)):
+            truth = json.loads(text)
+            truth["dataset"][key] = value
+            tampered = tmp_path / f"truth_{key}.json"
+            tampered.write_text(json.dumps(truth))
+            code = main(["eval", "--config", day_run.config, "--dataset", day_run.dataset,
+                         "--theta", str(tampered), "--out", str(tmp_path)])
+            assert code == EXIT_CONFIG, key
+
 
 class TestExitCodes:
     def test_truth_dataset_entry_must_be_an_object(self, day_run, tmp_path):

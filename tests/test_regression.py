@@ -724,6 +724,12 @@ class TestGridFit:
         results = [grid_fit(system, grid=grid, threads=t) for t in (1, 3, 8)]
         assert results[0] == results[1] == results[2]
 
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_rejects_threads_below_one(self, threads):
+        system = _random_system(np.random.default_rng(29), 40)
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            grid_fit(system, grid=GridSpec(cells=4), threads=threads)
+
     def test_surface_collection(self):
         rng = np.random.default_rng(31)
         system = _random_system(rng, 40)
