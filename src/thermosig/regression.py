@@ -22,9 +22,10 @@ number of runs, that is with dataset length.
 Grid cells are evaluated in batches whose size follows from the row
 count, so a batch's working arrays fit in a core's L2 cache. Within a
 batch the weighted median sorts only the rows that a weighted sample
-brackets around the half-weight split, and falls back to the full sort
-wherever rounding could tell the two apart, so every beta is the full
-sort's.
+brackets around the half-weight split (the sample select of Floyd and
+Rivest): a narrow bracket first, wider ones for the cells it cannot
+decide, and the full sort for the cells that no bracket decides or where
+rounding could tell the two apart, so every beta is the full sort's.
 
 The initial pass evaluates every cell: it is the error surface. A
 refinement pass only has to find its winner, so it runs best-first. Each
@@ -62,11 +63,11 @@ from .ingest import FrameSeries
 from .models import balance_target, load_terms, refrigerator_supply
 
 _BATCH_ELEMENTS = 1 << 16
-# the bracketed weighted median: sample rows, bracket ranks around the
-# sample's middle, and the rounding margin in units of n_kept * eps * half
+# the bracketed weighted median: sample rows, the ladder of bracket spans
+# in sample ranks either side of the sample's middle, tried narrowest first,
+# and the rounding margin in units of n_kept * eps * half
 _SAMPLE_ROWS = 512
-_BRACKET_SPAN = 24
-_BRACKET_RANKS = (_SAMPLE_ROWS // 2 - _BRACKET_SPAN, _SAMPLE_ROWS // 2 + _BRACKET_SPAN)
+_SPANS = (12, 24, 64)
 _MARGIN_ULPS = 8
 # a refinement pass first evaluates every 16th cell per axis, and the last
 _COARSE_STRIDE = 16
@@ -262,12 +263,14 @@ class _CellSolver:
     Most of the pick avoids the full sort. A sample of rows at evenly
     spaced weight quantiles brackets each cell's median between two of
     its order statistics; the weight below the bracket is summed, and
-    only the rows inside it are sorted. A cell whose bracket misses the
+    only the rows inside it are sorted. The brackets form a ladder,
+    _SPANS, tried narrowest first: a cell whose bracket misses the
     median, or whose running weight at the pick or just before it lies
-    within a rounding margin of the half, is sorted in full instead.
-    The margin bounds the error of both summation orders, so outside it
-    they cross half at the same ratio: beta equals the full sort's on
-    every input.
+    within a rounding margin of the half, goes on to the next, wider
+    bracket, and a cell that no bracket decides is sorted in full. The
+    margin bounds the error of any summation order, so outside it the
+    bracket's sums and the full sort's cross half at the same ratio:
+    beta equals the full sort's on every input.
 
     Cells are evaluated in batches of about _BATCH_ELEMENTS cell-rows, so
     each float64 working array (512 KiB) fits in a core's L2 cache. Each
@@ -364,48 +367,67 @@ class _CellSolver:
         return beta, numerator, planes
 
     def _bracketed_median(self, ratios: np.ndarray, narrow: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        # the full sort's pick for every cell, from the rows near the half-weight split
+        # the full sort's pick for every cell: each rung of _SPANS decides the
+        # cells its bracket can and passes the rest to the next, wider one; the
+        # full sort takes the cells that no rung decides. Sorting the 512
+        # sample values once is faster here than partitioning them at each rung
+        sample = np.sort(ratios[:, self.sample], axis=1)
+        median = np.empty(len(ratios))
+        todo, rows = np.arange(len(ratios)), ratios
+        for span in _SPANS:
+            ranks = [_SAMPLE_ROWS // 2 - span, _SAMPLE_ROWS // 2 + span]
+            low, high = sample[todo[:, None], ranks].T[:, :, None]
+            value, usable = self._bracket_pick(rows, low, high, narrow, flags)
+            median[todo[usable]] = value[usable]
+            todo = todo[~usable]
+            if not len(todo):
+                return median
+            rows = ratios[todo]
+        median[todo] = _sorted_median(rows, self.weights, self.half_weight)
+        return median
+
+    def _bracket_pick(
+        self, ratios: np.ndarray, low: np.ndarray, high: np.ndarray, narrow: np.ndarray, flags: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Each cell's pick from the rows with low <= ratio <= high, and
+        whether it is certainly the full sort's."""
         cells, n_kept, weights, half_weight = len(ratios), self.n_kept, self.weights, self.half_weight
-        # sorting 512 values is faster here than partitioning them at two ranks
-        low, high = np.sort(ratios[:, self.sample], axis=1)[:, _BRACKET_RANKS].T[:, :, None]
         below, inside = (buf[: cells * n_kept].reshape(cells, n_kept) for buf in flags)
         np.less(ratios, low, out=below)
-        # a masked row sum, not a matrix product: BLAS may reorder the sum per call
-        masked = np.multiply(below, weights, out=narrow[0, : cells * n_kept].reshape(cells, n_kept))
-        below_weight = masked.sum(axis=1)
+        # einsum runs its own loops, with no BLAS and no threads; its order of
+        # summation differs from a sequential sum's, which split_margin allows
+        below_weight = np.einsum("ij,j->i", below, weights)
         # low <= ratio <= high, written as (ratio <= high) and not below
         np.greater(np.less_equal(ratios, high, out=inside), below, out=inside)
 
         flat = np.flatnonzero(inside)
         if not len(flat):
-            return _sorted_median(ratios, weights, half_weight)
+            # no cell has a row inside its bracket
+            return np.empty(cells), np.zeros(cells, dtype=bool)
         row, column = np.divmod(flat, n_kept)
         counts = np.bincount(row, minlength=cells)
         width = int(counts.max())
+        starts = np.cumsum(counts) - counts
         # the rows inside each bracket, left-aligned and padded with +inf of no weight
-        slot = row * width + np.arange(len(flat)) - np.repeat(np.cumsum(counts) - counts, counts)
+        slot = row * width + np.arange(len(flat)) - starts[row]
         middle, running = (buf[: cells * width] for buf in narrow)
         middle.fill(np.inf)
         running.fill(0.0)
         middle[slot] = ratios.ravel()[flat]
         running[slot] = weights[column]
-        middle, running = middle.reshape(cells, width), running.reshape(cells, width)
-        order = np.argsort(middle, axis=1)
-        running = np.take_along_axis(running, order, axis=1)
+        order = np.argsort(middle.reshape(cells, width), axis=1)
+        cell = np.arange(cells)
+        order += (cell * width)[:, None]
+        running = running[order]
         np.cumsum(running, axis=1, out=running)
         running += below_weight[:, None]
-        cell = np.arange(cells)
         pick = np.argmax(running >= half_weight, axis=1)
         at = running[cell, pick]
         before = np.where(pick > 0, running[cell, pick - 1], below_weight)
-        median = middle[cell, order[cell, pick]]
         # a bracket that misses the median leaves `at` below the half or
         # `before` at or above it; NaN sums fail both tests too
         usable = (at - half_weight > self.split_margin) & (half_weight - before > self.split_margin)
-        fallback = np.flatnonzero(~usable)
-        if len(fallback):
-            median[fallback] = _sorted_median(ratios[fallback], weights, half_weight)
-        return median
+        return middle[order[cell, pick]], usable
 
     def _certificates(self, beta: np.ndarray, signs: np.ndarray, sizes: np.ndarray, spare: np.ndarray) -> np.ndarray:
         """Planes (g1, g2, g3) of a batch from the signs and sizes of its

@@ -363,6 +363,70 @@ class TestBracketedMedian:
         self._check(rows, rng.normal(0.0, 100.0, 1000), c_p, alpha)
         assert sum(fallbacks) == 20
 
+    def test_wide_rung_decides_outside_the_narrow_brackets(self, fallbacks):
+        # as above, the sample holds the 512 odd rows, here with ratios 0..511,
+        # so a sample rank is its ratio. 216 even rows lie below all of them
+        # and 297 above, which puts the median, the 513th ratio, at 296: past
+        # the sample's ranks 256 +- 24, and inside 256 +- 64. The half, 512.5,
+        # is 0.5 away from every running sum.
+        n_rows = 1025
+        ratios = np.empty(n_rows)
+        ratios[1::2] = np.arange(512)
+        ratios[0::2] = np.r_[-1000.0 - np.arange(216), 1000.0 + np.arange(297)]
+        rows = np.column_stack([np.zeros(n_rows), np.zeros(n_rows), np.ones(n_rows)])
+        solver = regression._CellSolver(rows, -ratios, 1)
+        assert (solver.sample == np.arange(1, n_rows, 2)).all()
+        beta, _, _ = solver(np.zeros(2), np.zeros(2))
+        assert (beta == 296.0).all()
+        self._check(rows, -ratios, [0.0, 0.0], [0.0, 0.0])
+        assert sum(fallbacks) == 0
+
+    def test_empty_rung_passes_every_cell_on(self, fallbacks, monkeypatch):
+        # a span of -1 puts each bracket's low end above its high end, so the
+        # first rung holds no row inside any cell's bracket; the next rung,
+        # not the full sort, decides the batch
+        monkeypatch.setattr(regression, "_SPANS", (-1, 64))
+        rng = np.random.default_rng(61)
+        system = _random_system(rng, 2000)
+        self._check(system.rows, system.targets, *self._cells(rng))
+        assert sum(fallbacks) == 0
+
+    @settings(deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_rows=st.integers(1, 3000),
+        quantized=st.booleans(),
+        a3_low=st.sampled_from([-5.0, 0.0]),
+        zero_a3=st.sampled_from([0.0, 0.3]),
+        copies=st.integers(1, 3),
+        pushed=st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+    )
+    def test_every_rung_matches_the_reference(self, seed, n_rows, quantized, a3_low, zero_a3, copies, pushed):
+        # Pushing a share of the sampled rows far above every other ratio moves
+        # the sample's middle below the median, by about pushed * 256 ranks:
+        # past the narrow rung at 0.05, past 256 +- 24 at 0.1 and past every
+        # rung at 0.3. Quantized weights and copied rows give exact splits,
+        # which the rounding margin sends to the full sort.
+        rng = np.random.default_rng(seed)
+        a3 = rng.uniform(a3_low, 5.0, n_rows)
+        if quantized:
+            a3 = np.round(a3 * 2.0) / 2.0
+        a3 *= rng.random(n_rows) >= zero_a3
+        rows = np.column_stack([rng.uniform(0.5, 50.0, n_rows), rng.uniform(-20.0, 20.0, n_rows), a3])
+        targets = rng.normal(0.0, 100.0, n_rows)
+        if quantized:
+            targets = np.round(targets, 1)
+        # the first n_rows / copies rows, repeated `copies` times
+        distinct = -(-n_rows // copies)
+        rows, targets = np.tile(rows[:distinct], (copies, 1))[:n_rows], np.tile(targets[:distinct], copies)[:n_rows]
+        if (rows[:, 2] != 0.0).any():
+            solver = regression._CellSolver(rows, targets, 1)
+            sampled = np.unique(solver.kept_rows[solver.sample])
+            push = rng.choice(sampled, int(pushed * len(sampled)), replace=False)
+            # b - K a3 raises the ratio (c_p a1 + alpha a2 - b) / a3 by K at every cell
+            targets[push] -= 1e6 * rows[push, 2]
+        self._check(rows, targets, *self._cells(rng, 8))
+
     def test_running_float_weight_decides_an_even_split(self):
         # weights 0.1, 0.7, 0.7, 0.1 split evenly in exact arithmetic after the
         # second ratio, but the float running sum there, 0.7999999999999999,
