@@ -19,8 +19,8 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
-from .core import HvacMode, StationConstants, Theta, from_json
-from .errors import ConfigError, IoError, RegressionError, ThermosigError
+from .core import HvacMode, StationConstants, Theta, from_json, require
+from .errors import ConfigError, IoError, RegressionError, ThermosigError, io_errors
 from .ingest import (
     CsvSchema, FrameSeries, ModeRule, build_frames, format_floats, isoformat_utc, parse_csv, time_axis, write_columns
 )
@@ -48,16 +48,13 @@ class RunConfig:
     max_gap: int = 5
 
     def __post_init__(self):
-        if self.max_gap < 0:
-            raise ValueError(f"max_gap must be >= 0, got {self.max_gap}")
+        require(self.max_gap >= 0, "max_gap", f"must be >= 0, got {self.max_gap}")
 
 
 def _read_json(path: str):
     try:
-        with open(path, encoding="utf-8") as handle:
+        with io_errors(path), open(path, encoding="utf-8") as handle:
             return json.load(handle)
-    except OSError as exc:
-        raise IoError(path, str(exc)) from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: invalid JSON: {exc}") from None
 
@@ -82,18 +79,13 @@ def _thread_count() -> int:
 
 
 def _write_json(path: str, payload: dict) -> None:
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    except OSError as exc:
-        raise IoError(path, str(exc)) from None
+    with io_errors(path), open(path, "w", encoding="utf-8") as handle:
+        handle.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _ensure_out_dir(out_dir: str) -> None:
-    try:
+    with io_errors(out_dir):
         os.makedirs(out_dir, exist_ok=True)
-    except OSError as exc:
-        raise IoError(out_dir, str(exc)) from None
 
 
 def _theta_from(data, path: str) -> Theta:

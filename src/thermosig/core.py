@@ -15,6 +15,20 @@ from datetime import datetime
 from enum import Enum
 
 
+class FieldError(ValueError):
+    """A value out of range for one dataclass field; from_json names its key path."""
+
+    def __init__(self, field: str, rule: str):
+        self.field = field
+        super().__init__(f"{field} {rule}")
+
+
+def require(ok: bool, field: str, rule: str) -> None:
+    """Raise FieldError(field, rule) unless ok; write ok so that NaN fails it (x >= 0, not not x < 0)."""
+    if not ok:
+        raise FieldError(field, rule)
+
+
 class HvacMode(Enum):
     """Operating regime of the station cooling plant for one step."""
 
@@ -43,12 +57,10 @@ class StationConstants:
     step: float = 60.0
 
     def __post_init__(self):
-        if not (self.c > 0 and self.m_z > 0 and self.step > 0):
-            raise ValueError("c, m_z, and step must be positive")
-        if self.beta_v < 0:
-            raise ValueError("beta_v must be nonnegative")
-        if not (30.0 <= self.t_p <= 40.0):
-            raise ValueError(f"t_p={self.t_p} outside plausible body temperature range")
+        for name in ("c", "m_z", "step"):
+            require(getattr(self, name) > 0, name, "must be positive")
+        require(self.beta_v >= 0, "beta_v", "must be nonnegative")
+        require(30.0 <= self.t_p <= 40.0, "t_p", f"must be a body temperature in [30, 40], got {self.t_p}")
 
     @property
     def thermal_mass(self) -> float:
@@ -85,9 +97,9 @@ def from_json(cls, raw, where: str):
     the key path (where.key.key). A float takes a finite JSON number,
     kept as given; an int an integer, never a boolean; a str a string; a
     datetime an ISO 8601 string; an Enum one of its values; a frozenset a
-    list; an Optional also null. A range check of __post_init__ whose
-    message opens with a field's name raises "<where>.<field> ...";
-    any other, or a required key left out, raises "bad <where>: ...".
+    list; an Optional also null. A range check of __post_init__ that
+    raises FieldError raises "<where>.<field> ..."; a check across
+    fields, or a required key left out, raises "bad <where>: ...".
     """
     if not isinstance(raw, dict):
         raise ValueError(f"{where} must be an object, got {raw!r}")
@@ -99,8 +111,7 @@ def from_json(cls, raw, where: str):
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        named = str(exc).split(" ", 1)[0] in hints
-        raise ValueError(f"{where}.{exc}" if named else f"bad {where}: {exc}") from None
+        raise ValueError(f"{where}.{exc}" if isinstance(exc, FieldError) else f"bad {where}: {exc}") from None
 
 
 def _decode(hint, value, where: str):

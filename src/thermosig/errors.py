@@ -6,6 +6,7 @@ to locate the offending input without re-running the pipeline.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from datetime import datetime
 
 
@@ -78,12 +79,17 @@ class MisalignedTimestamp(IngestError):
 
 
 class GapTooLong(IngestError):
-    def __init__(self, at: datetime, length: int, max_gap: int):
+    """A channel's run of missing readings longer than max_gap, or (empty) the whole channel."""
+
+    def __init__(self, channel: str, at: datetime, length: int, max_gap: int, empty: bool = False):
+        self.channel = channel
         self.at = at
         self.length = length
         self.max_gap = max_gap
         super().__init__(
-            f"gap of {length} steps at {at.isoformat()} exceeds fillable maximum of {max_gap}"
+            f"channel {channel!r} has no reading in its {length} steps from {at.isoformat()}"
+            if empty
+            else f"channel {channel!r}: gap of {length} steps at {at.isoformat()} exceeds fillable maximum of {max_gap}"
         )
 
 
@@ -135,3 +141,12 @@ class IoError(ThermosigError):
         self.path = path
         self.reason = reason
         super().__init__(f"{path}: {reason}")
+
+
+@contextmanager
+def io_errors(path: str):
+    """Raise an OSError of the block as IoError naming path."""
+    try:
+        yield
+    except OSError as exc:
+        raise IoError(path, str(exc)) from None

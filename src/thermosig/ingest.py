@@ -51,12 +51,11 @@ from typing import Callable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from .core import HvacMode, StationConstants
+from .core import HvacMode, StationConstants, require
 from .errors import (
     BadNumber,
     BadTimestamp,
     GapTooLong,
-    IoError,
     MisalignedTimestamp,
     MissingColumn,
     NegativeValue,
@@ -64,6 +63,7 @@ from .errors import (
     TooShort,
     UnreadableRow,
     UnsortedAnchors,
+    io_errors,
 )
 
 _EPOCH = datetime(1970, 1, 1, tzinfo=timezone.utc)
@@ -105,12 +105,10 @@ class ModeRule:
     water_activity_min: float = 0.0
 
     def __post_init__(self):
-        if self.e_v_idle is not None and not self.e_v_idle >= 0:
-            raise ValueError(f"e_v_idle must be >= 0, got {self.e_v_idle}")
-        if not 0 <= self.e_v_idle_fraction < 1:
-            raise ValueError(f"e_v_idle_fraction must be in [0, 1), got {self.e_v_idle_fraction}")
-        if not self.water_activity_min >= 0:
-            raise ValueError(f"water_activity_min must be >= 0, got {self.water_activity_min}")
+        require(self.e_v_idle is None or self.e_v_idle >= 0, "e_v_idle", f"must be >= 0, got {self.e_v_idle}")
+        fraction = self.e_v_idle_fraction
+        require(0 <= fraction < 1, "e_v_idle_fraction", f"must be in [0, 1), got {fraction}")
+        require(self.water_activity_min >= 0, "water_activity_min", f"must be >= 0, got {self.water_activity_min}")
 
     def resolve(self, e_v_max: float) -> "ModeRule":
         if self.e_v_idle is not None:
@@ -346,11 +344,8 @@ def _channel_columns(header: list[str], prefix: str) -> list[int]:
 def _read_text(path: str) -> str:
     """The decoded text of a dataset file, a leading byte order mark
     removed and line ends kept as they are."""
-    try:
-        with open(path, "rb") as handle:
-            data = handle.read()
-    except OSError as exc:
-        raise IoError(path, str(exc)) from None
+    with io_errors(path), open(path, "rb") as handle:
+        data = handle.read()
     try:
         return data.decode("utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
@@ -591,20 +586,15 @@ def write_columns(path: str, header: list[str], columns: list[tuple[Callable, np
     the header through csv.writer, which quotes the names that need it, then
     _BLOCK_ROWS rows at a time, each column's cells made by its format. Those
     cells never need quoting. Raises IoError naming the path."""
-    try:
-        with open(path, "w", newline="", encoding="utf-8") as handle:
-            csv.writer(handle, lineterminator=terminator).writerow(header)
-            for lo in range(0, len(columns[0][1]), _BLOCK_ROWS):
-                block = [format_cells(values[lo:lo + _BLOCK_ROWS]) for format_cells, values in columns]
-                handle.write(terminator.join(map(",".join, zip(*block))) + terminator)
-    except OSError as exc:
-        raise IoError(path, str(exc)) from None
+    with io_errors(path), open(path, "w", newline="", encoding="utf-8") as handle:
+        csv.writer(handle, lineterminator=terminator).writerow(header)
+        for lo in range(0, len(columns[0][1]), _BLOCK_ROWS):
+            block = [format_cells(values[lo:lo + _BLOCK_ROWS]) for format_cells, values in columns]
+            handle.write(terminator.join(map(",".join, zip(*block))) + terminator)
 
 
 def write_records_csv(table: RecordTable, path: str, schema: CsvSchema = CsvSchema()) -> None:
     """Serialize a table back to the dataset format. Inverse of parse_csv."""
-    if not len(table):
-        raise ValueError("cannot serialize an empty record table")
     k = table.indoor.shape[1]
     m = table.outdoor.shape[1]
 
@@ -716,14 +706,15 @@ def classify_mode(v_cool_w, t_water_in, t_water_out, e_v, rule: ModeRule = ModeR
     return _MODE_TABLE[water_active.astype(int), vent_active.astype(int)]
 
 
-def _fill_gaps(series: np.ndarray, start: datetime, step: float, max_gap: int) -> np.ndarray:
+def _fill_gaps(channel: str, series: np.ndarray, start: datetime, step: float, max_gap: int) -> np.ndarray:
     """Linearly fill interior NaN runs of at most max_gap steps; hold
-    values flat over edge runs. Longer runs are an error."""
+    values flat over edge runs. Longer runs, and a channel with no
+    reading, are an error naming the channel."""
     missing = np.isnan(series)
     if not missing.any():
         return series
     if missing.all():
-        raise GapTooLong(start, len(series), max_gap)
+        raise GapTooLong(channel, start, len(series), max_gap, empty=True)
 
     # each run opens and closes on a change of the mask: (first, end) pairs
     runs = np.flatnonzero(np.diff(missing, prepend=False, append=False)).reshape(-1, 2)
@@ -732,7 +723,7 @@ def _fill_gaps(series: np.ndarray, start: datetime, step: float, max_gap: int) -
     if too_long.size:
         first = too_long[0]
         at = start + timedelta(seconds=int(runs[first, 0]) * step)
-        raise GapTooLong(at, int(lengths[first]), max_gap)
+        raise GapTooLong(channel, at, int(lengths[first]), max_gap)
 
     known = np.flatnonzero(~missing)
     filled = series.copy()
@@ -783,7 +774,7 @@ def build_frames(
     t_in, t_out = average_channels(table)
     plant = ("t_water_in", "t_water_out", "v_cool_w", "e_v")
     readings = zip(("t_in", "t_out", *plant), (t_in, t_out, *(getattr(table, name) for name in plant)))
-    channels = {name: _fill_gaps(on_grid(values), start, step, max_gap) for name, values in readings}
+    channels = {name: _fill_gaps(name, on_grid(values), start, step, max_gap) for name, values in readings}
     n_per_step = spread_anchors(on_grid(table.passengers), start, step)
 
     resolved = rule.resolve(float(channels["e_v"].max()))

@@ -52,7 +52,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import HvacMode, StationConstants, Theta, theta_is_feasible
+from .core import HvacMode, StationConstants, Theta, require, theta_is_feasible
 from .errors import (
     DegenerateColumn,
     EmptySystem,
@@ -131,20 +131,15 @@ class GridSpec:
     refinement_passes: int = 2
 
     def __post_init__(self):
-        if self.spacing not in ("log", "linear"):
-            raise ValueError(f"spacing must be 'log' or 'linear', got {self.spacing!r}")
-        if self.cells < 1:
-            raise ValueError("cells must be at least 1")
-        if self.refinement_passes < 0:
-            raise ValueError("refinement_passes must be nonnegative")
+        require(self.spacing in ("log", "linear"), "spacing", f"must be 'log' or 'linear', got {self.spacing!r}")
+        require(self.cells >= 1, "cells", "must be at least 1")
+        require(self.refinement_passes >= 0, "refinement_passes", "must be nonnegative")
         for name in ("c_p_max", "alpha_max"):
             value = getattr(self, name)
             # a NaN or infinite maximum puts NaN into its axis
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        for low, high in ((self.c_p_min, self.c_p_max), (self.alpha_min, self.alpha_max)):
-            if low is not None and not (0 < low <= high):
-                raise ValueError("axis minima must be positive and at most the maxima")
+            require(math.isfinite(value) and value > 0, name, f"must be finite and positive, got {value}")
+        for name, low, high in (("c_p_min", self.c_p_min, self.c_p_max), ("alpha_min", self.alpha_min, self.alpha_max)):
+            require(low is None or 0 < low <= high, name, f"must be positive and at most the maximum, got {low}")
 
     def _axis(self, low: Optional[float], high: float) -> np.ndarray:
         if self.cells == 1:

@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import StationConstants, Theta
+from .core import StationConstants, Theta, require
 from .errors import DivergedState, EmptySystem
 from .ingest import (
     US_PER_HOUR,
@@ -84,14 +84,11 @@ class PassengerProfile:
     close_hour: int = 20
 
     def __post_init__(self):
-        if self.kind not in ("weekday", "weekend"):
-            raise ValueError(f"kind must be 'weekday' or 'weekend', got {self.kind!r}")
-        if self.daily_total < 0:
-            raise ValueError("daily_total must be nonnegative")
-        if not (self.peak_width_hours > 0 and self.peak_width_hours**2 > 0):
-            raise ValueError(f"peak_width_hours must be positive, its square too, got {self.peak_width_hours}")
-        if not self.base_weight >= 0:
-            raise ValueError(f"base_weight must be nonnegative, got {self.base_weight}")
+        require(self.kind in ("weekday", "weekend"), "kind", f"must be 'weekday' or 'weekend', got {self.kind!r}")
+        require(self.daily_total >= 0, "daily_total", "must be nonnegative")
+        width = self.peak_width_hours
+        require(width > 0 and width**2 > 0, "peak_width_hours", f"must be positive, its square too, got {width}")
+        require(self.base_weight >= 0, "base_weight", f"must be nonnegative, got {self.base_weight}")
         if not math.fsum(self.hourly_weights()) > 0:
             raise ValueError("the hourly weights must have a positive total")
 
@@ -153,17 +150,14 @@ class HvacPlant:
     new_air_min_advantage: float = 3.0
 
     def __post_init__(self):
-        if self.e_v_max < 0 or self.refrigerator_max < 0:
-            raise ValueError("capacities must be nonnegative")
-        if not 0 < self.e_v_min_fraction <= 1:
-            raise ValueError("e_v_min_fraction must be in (0, 1]")
-        if self.refrigerator_stages < 1:
-            raise ValueError("need at least one chiller stage")
-        if self.water_delta_t <= 0:
-            raise ValueError("water_delta_t must be positive")
+        require(self.e_v_max >= 0, "e_v_max", "must be nonnegative")
+        require(self.refrigerator_max >= 0, "refrigerator_max", "must be nonnegative")
+        require(0 < self.e_v_min_fraction <= 1, "e_v_min_fraction", "must be in (0, 1]")
+        require(self.refrigerator_stages >= 1, "refrigerator_stages", "must be at least 1")
+        require(self.water_delta_t > 0, "water_delta_t", "must be positive")
         # a negative advantage would run the fan with air warmer than the zone
-        if not self.new_air_min_advantage >= 0:
-            raise ValueError(f"new_air_min_advantage must be nonnegative, got {self.new_air_min_advantage}")
+        advantage = self.new_air_min_advantage
+        require(advantage >= 0, "new_air_min_advantage", f"must be nonnegative, got {advantage}")
 
     def in_schedule(self, hour_of_day: float) -> bool:
         if self.on_hour <= self.off_hour:
@@ -186,8 +180,8 @@ class NoiseModel:
     temp_quantization: float = 0.0
 
     def __post_init__(self):
-        if self.temp_std < 0 or self.temp_quantization < 0:
-            raise ValueError("noise parameters must be nonnegative")
+        require(self.temp_std >= 0, "temp_std", "must be nonnegative")
+        require(self.temp_quantization >= 0, "temp_quantization", "must be nonnegative")
 
     def apply(self, values: np.ndarray, rng: np.random.Generator) -> np.ndarray:
         noisy = values
@@ -223,8 +217,7 @@ class Scenario:
     initial_t_in: Optional[float] = None
 
     def __post_init__(self):
-        if self.duration_steps < 2:
-            raise ValueError("duration_steps must be at least 2")
+        require(self.duration_steps >= 2, "duration_steps", "must be at least 2")
         if self.start.tzinfo is None:
             object.__setattr__(self, "start", self.start.replace(tzinfo=timezone.utc))
 

@@ -276,6 +276,13 @@ class TestExitCodes:
             ("scenario.passengers.peak_width_hours", 1e-200),
             ("scenario.passengers.base_weight", -0.5),
             ("scenario.passengers", {"kind": "weekend", "base_weight": 0, "open_hour": 8, "close_hour": 8}),
+            # out of range, once reported as "bad <section>: ..." with no key path
+            ("constants.m_z", 0),
+            ("constants.t_p", 20),
+            ("grid.c_p_min", 2000.0),
+            ("scenario.hvac.e_v_max", -1),
+            ("scenario.hvac.refrigerator_stages", 0),
+            ("scenario.noise.temp_std", -1),
         ],
     )
     def test_bad_config_value(self, key, value, tmp_path, capsys):
@@ -329,18 +336,28 @@ class TestExitCodes:
         assert loaded.scenario.noise.temp_quantization == 0.1
         assert loaded.grid.cells == 200
 
-    @pytest.mark.parametrize("artifact", ["dataset.csv", "error_surface.csv", "signature.csv"])
+    @pytest.mark.parametrize("artifact", ["dataset.csv", "error_surface.csv", "signature.csv", "fit.json", "summary.json"])
     def test_failed_write_is_io(self, artifact, day_run, tmp_path, capsys):
+        fit = ["fit", "--dataset", day_run.dataset]
+        signature = ["signature", "--dataset", day_run.dataset, "--theta", day_run.truth]
         argv = {
             "dataset.csv": ["simulate"],
-            "error_surface.csv": ["fit", "--dataset", day_run.dataset],
-            "signature.csv": ["signature", "--dataset", day_run.dataset, "--theta", day_run.truth],
+            "error_surface.csv": fit,
+            "signature.csv": signature,
+            "fit.json": fit,
+            "summary.json": signature,
         }[artifact]
         # a directory where the artifact should go makes its open fail
         blocked = tmp_path / artifact
         blocked.mkdir()
         assert main([*argv, "--config", day_run.config, "--out", str(tmp_path)]) == EXIT_IO
         assert capsys.readouterr().err.startswith(f"io error: {blocked}: ")
+
+    def test_out_naming_a_file_is_io(self, day_run, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert main(["fit", "--config", day_run.config, "--dataset", day_run.dataset, "--out", str(out)]) == EXIT_IO
+        assert capsys.readouterr().err.startswith(f"io error: {out}: ")
 
     def test_dataset_without_active_cooling_is_degenerate(self, tmp_path):
         # a plant that never switches on leaves nothing to fit against

@@ -1,6 +1,7 @@
 """Validation behavior of the shared value types."""
 
 import dataclasses
+import math
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -13,7 +14,8 @@ from thermosig import (
     Theta,
     theta_is_feasible,
 )
-from thermosig.core import from_json
+from thermosig.core import FieldError, from_json
+from thermosig.synth import HvacPlant, NoiseModel
 
 
 class TestStationConstants:
@@ -36,6 +38,20 @@ class TestStationConstants:
     def test_rejects_unphysical_values(self, overrides):
         with pytest.raises(ValueError):
             StationConstants(**overrides)
+
+    @pytest.mark.parametrize("cls, field", [
+        (StationConstants, "beta_v"),
+        (HvacPlant, "e_v_max"),
+        (HvacPlant, "refrigerator_max"),
+        (HvacPlant, "water_delta_t"),
+        (NoiseModel, "temp_std"),
+        (NoiseModel, "temp_quantization"),
+    ])
+    def test_nan_is_rejected_at_its_field(self, cls, field):
+        # a check written as "x < 0" lets NaN through: NoiseModel(temp_std=nan) meant no noise
+        with pytest.raises(FieldError, match=f"^{field} must be") as err:
+            cls(**{field: math.nan})
+        assert err.value.field == field
 
     def test_frozen(self):
         constants = StationConstants()
@@ -145,9 +161,9 @@ class TestFromJson:
         # Python's json reads these, and a range check like "temp_std < 0" lets NaN through
         (StationConstants, {"step": float("nan")}, "config.x.step must be a finite number, got nan"),
         (StationConstants, {"m_z": float("inf")}, "config.x.m_z must be a finite number, got inf"),
-        (StationConstants, {"step": 0}, "bad config.x: c, m_z, and step must be positive"),
+        (StationConstants, {"step": 0}, "^config.x.step must be positive$"),
         (Theta, {"c_p": 1.0}, "bad config.x: .*missing 2 required"),
-        # a range check that opens with its field's name is reported at that field
+        # a range check that raises FieldError is reported at its field
         (StationConstants, {"beta_v": -1.0}, "^config.x.beta_v must be nonnegative$"),
     ])
     def test_rejections_name_the_key_path(self, cls, raw, message):

@@ -136,6 +136,20 @@ class TestParseCsv:
             parse_csv(str(path))
         assert err.value.column == "e_v"
 
+    def test_empty_file_misses_the_timestamp(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("")
+        with pytest.raises(MissingColumn) as err:
+            parse_csv(str(path))
+        assert err.value.column == "timestamp"
+
+    def test_missing_outdoor_channels(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("timestamp,t_in_1,t_water_in,t_water_out,v_cool_w,e_v\n")
+        with pytest.raises(MissingColumn) as err:
+            parse_csv(str(path))
+        assert err.value.column == "t_out_1"
+
     def test_missing_indoor_channels(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("timestamp,t_out_1,t_water_in,t_water_out,v_cool_w,e_v\n")
@@ -324,6 +338,13 @@ class TestParseCsv:
         with pytest.raises(UnreadableRow, match="field limit") as err:
             parse_csv(self._write(tmp_path, body))
         assert err.value.row == 3
+
+    def test_oversized_quoted_header_field_names_line_1(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('"' + "x" * 131073 + '",' + self.HEADER + "\n")
+        with pytest.raises(UnreadableRow, match="field limit") as err:
+            parse_csv(str(path))
+        assert err.value.row == 1
 
     @pytest.mark.parametrize("block_rows", [1, 2, 4096])
     @pytest.mark.parametrize("header", ["timestamp", '"timestamp"'], ids=["plain", "quoted"])
@@ -527,11 +548,14 @@ class TestWriteRoundTrip:
         assert cells == [ts.isoformat() for ts in stamps]
         assert parse_csv(str(path)) == table
 
-    def test_empty_list_rejected(self, tmp_path):
-        empty = _table([_record(0)])
-        empty = RecordTable(**{name: column[:0] for name, column in vars(empty).items()})
-        with pytest.raises(ValueError):
-            write_records_csv(empty, str(tmp_path / "out.csv"))
+    def test_header_only_file_round_trips(self, tmp_path):
+        source = tmp_path / "in.csv"
+        source.write_text(TestParseCsv.HEADER + "\n")
+        table = parse_csv(str(source))
+        assert len(table) == 0
+        path = str(tmp_path / "out.csv")
+        write_records_csv(table, path)
+        assert parse_csv(path) == table
 
 
 # values that repeat, kept as an array so that the NaN payloads reach format_floats
@@ -823,6 +847,19 @@ class TestBuildFrames:
         with pytest.raises(GapTooLong) as err:
             build_frames(_table(records), CONSTANTS, max_gap=5)
         assert (err.value.at, err.value.length) == (_ts(0), 6)
+
+    def test_gap_names_its_channel(self):
+        records = [_record(m, e_v=None if 1 <= m <= 6 else 0.0) for m in range(9)]
+        with pytest.raises(GapTooLong, match="^channel 'e_v': gap of 6 steps") as err:
+            build_frames(_table(records), CONSTANTS, max_gap=5)
+        assert (err.value.channel, err.value.at, err.value.length) == ("e_v", _ts(1), 6)
+
+    def test_empty_channel_has_no_reading(self):
+        # 3 missing steps are within max_gap, but there is nothing to fill them from
+        records = [_record(m, t_water_in=None) for m in range(3)]
+        with pytest.raises(GapTooLong, match="^channel 't_water_in' has no reading") as err:
+            build_frames(_table(records), CONSTANTS)
+        assert err.value.channel == "t_water_in"
 
     def test_longer_limit_accepts_the_same_gap(self):
         records = [_record(0, t_in=30.0), _record(7, t_in=31.0)]
