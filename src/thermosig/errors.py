@@ -93,6 +93,15 @@ class GapTooLong(IngestError):
         )
 
 
+class InvalidChannel(ThermosigError, ValueError):
+    """A frame channel that is not finite, or a count or meter that is negative."""
+
+    def __init__(self, channel: str, rule: str, value: float, index: int):
+        self.channel = channel
+        self.index = index
+        super().__init__(f"channel {channel!r} must be {rule}, got {value} at index {index}")
+
+
 class TooShort(IngestError):
     def __init__(self, count: int):
         self.count = count

@@ -12,8 +12,22 @@ A file is read into a RecordTable, one array per column in file order,
 and build_frames turns the table into a FrameSeries on the step grid;
 write_records_csv writes a table back, column by column.
 
-parse_csv decodes a file once and reads it _BLOCK_ROWS rows at a time.
-Each block is cut into columns, and one converter turns a block's
+parse_csv first reads a complete plain file in one np.loadtxt pass:
+every number an f8 field, the timestamp and anchor columns fixed-width
+byte fields, and each timestamp decoded by the digit rules the block
+reader uses. The pass returns the table the block reader would, or
+declines the file, which the block reader then reads from its first
+byte and so names any fault. It declines a quote, NUL or bare carriage
+return, a line over csv's field limit, a header that is not one plain
+line, any np.loadtxt error (a ragged row, an empty or unreadable number,
+an undecodable byte), a byte field that fills its width, a timestamp
+neither decoder reads, and a non-finite number, a negative meter or
+anchor, or an anchor _float_column faults. Where the anchor column is
+last or absent, a byte scan declines an empty cell before np.loadtxt
+runs, so a file with gaps pays only the scan.
+
+The block reader decodes a file once and reads it _BLOCK_ROWS rows at a
+time. Each block is cut into columns, and one converter turns a block's
 columns into numbers before the next block is cut, so no more than one
 block's cells are ever held as strings: numbers as float() reads them,
 and timestamps in isoformat_utc's whole-second form as one block of
@@ -47,7 +61,7 @@ from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
 from itertools import islice, repeat
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -56,6 +70,7 @@ from .errors import (
     BadNumber,
     BadTimestamp,
     GapTooLong,
+    InvalidChannel,
     MisalignedTimestamp,
     MissingColumn,
     NegativeValue,
@@ -209,7 +224,7 @@ class FrameSeries:
                 rule, bad = "finite and nonnegative", bad | (values < 0)
             if bad.any():
                 index = int(np.argmax(bad))
-                raise ValueError(f"channel {name!r} must be {rule}, got {values[index]} at index {index}")
+                raise InvalidChannel(name, rule, values[index], index)
 
     @property
     def delta(self) -> np.ndarray:
@@ -273,24 +288,32 @@ _STAMP_FORM = np.frombuffer(b"dddd-dd-ddTdd:dd:dd+00:00", dtype=np.uint8)
 _STAMP_DIGITS = _STAMP_FORM == ord("d")
 
 
-def _canonical_micros(cells: Sequence[str]) -> tuple[np.ndarray, np.ndarray]:
-    """(micros, found) for a timestamp column, decoded as a block of bytes.
-
-    found marks the cells that are exactly isoformat_utc's text of a
-    whole-second instant, YYYY-MM-DDTHH:MM:SS+00:00 with a valid date and
-    time, which datetime.fromisoformat reads as that instant; micros holds
-    it there and 0 elsewhere. Nothing is found unless every cell is as
-    long as that form.
-    """
+def _stamp_chars(cells: Sequence[str]) -> np.ndarray:
+    """The UTF-8 bytes of timestamp cells as a (cells, 25) matrix, or a
+    matrix of NULs, which match no timestamp, unless every cell is 25
+    bytes long."""
     count, width = len(cells), len(_STAMP_FORM) + 1
     blob = ("\n".join(cells) + "\n").encode()
     rows = np.frombuffer(blob, dtype=np.uint8)
     # each cell is width - 1 bytes long when the only newlines are the ones ending the rows
     if len(blob) != count * width or blob.count(b"\n") != count or (rows[width - 1::width] != 10).any():
-        return np.zeros(count, dtype=np.int64), np.zeros(count, dtype=bool)
-    chars = rows.reshape(count, width)[:, :-1]
+        return np.zeros((count, width - 1), dtype=np.uint8)
+    return rows.reshape(count, width)[:, :-1]
+
+
+def _canonical_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(micros, found) for a timestamp column given as a (cells, width)
+    byte matrix, each cell padded with NULs to the width of at least 25.
+
+    found marks the cells that are exactly isoformat_utc's text of a
+    whole-second instant, YYYY-MM-DDTHH:MM:SS+00:00 with a valid date and
+    time, which datetime.fromisoformat reads as that instant; micros holds
+    it there and 0 elsewhere.
+    """
+    found = ~chars[:, len(_STAMP_FORM):].any(axis=1)
+    chars = chars[:, :len(_STAMP_FORM)]
     digits = chars - np.uint8(ord("0"))  # wraps around below "0"
-    found = (digits[:, _STAMP_DIGITS] <= 9).all(axis=1)
+    found &= (digits[:, _STAMP_DIGITS] <= 9).all(axis=1)
     found &= (chars[:, ~_STAMP_DIGITS] == _STAMP_FORM[~_STAMP_DIGITS]).all(axis=1)
     year = digits[:, 0:4] @ np.array([1000, 100, 10, 1])
     month, day, hour, minute, second = (digits[:, k:k + 2] @ np.array([10, 1]) for k in (5, 8, 11, 14, 17))
@@ -468,7 +491,7 @@ def _convert_block(block: _Block, header: list[str], timestamp_col: int, float_c
     number, then the signs of the meters."""
     columns, numbers = block
     cells = columns[timestamp_col]
-    stamps, found = _canonical_micros(cells)
+    stamps, found = _canonical_micros(_stamp_chars(cells))
     bad_stamps = np.zeros(len(numbers), dtype=bool)
     for i in np.flatnonzero(~found).tolist():
         micros = _timestamp_micros(cells[i])
@@ -495,6 +518,172 @@ def _convert_block(block: _Block, header: list[str], timestamp_col: int, float_c
     return stamps, values
 
 
+class _Columns(NamedTuple):
+    """The header positions of the columns a dataset file is read for."""
+
+    timestamp: int
+    indoor: list[int]
+    outdoor: list[int]
+    plant: list[int]  # t_water_in, t_water_out, v_cool_w, e_v
+    passengers: Optional[int]
+
+
+def _header_columns(header: list[str], schema: CsvSchema) -> _Columns:
+    """Where each column is read in a header of stripped names. Raises
+    MissingColumn for an incomplete header and UnreadableRow for one that
+    repeats a column it reads."""
+    indoor_cols = _channel_columns(header, schema.indoor_prefix)
+    outdoor_cols = _channel_columns(header, schema.outdoor_prefix)
+    if not indoor_cols:
+        raise MissingColumn(schema.indoor_prefix + "1")
+    if not outdoor_cols:
+        raise MissingColumn(schema.outdoor_prefix + "1")
+
+    positions = {}
+    for name in (schema.timestamp, schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v):
+        if name not in header:
+            raise MissingColumn(name)
+        positions[name] = header.index(name)
+    read = {*positions, schema.passengers}
+    duplicate = next((name for name, count in Counter(header).items() if count > 1 and name in read), None)
+    if duplicate is not None:
+        raise UnreadableRow(1, f"duplicate column {duplicate!r}")
+    return _Columns(
+        timestamp=positions[schema.timestamp],
+        indoor=indoor_cols,
+        outdoor=outdoor_cols,
+        plant=[positions[name] for name in (schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v)],
+        passengers=header.index(schema.passengers) if schema.passengers in header else None,
+    )
+
+
+def _record_table(stamps: np.ndarray, values: dict[int, np.ndarray], columns: _Columns) -> RecordTable:
+    """The table of int64 timestamps and each number column's values."""
+    water_in, water_out, v_cool_w, e_v = (np.ascontiguousarray(values[col]) for col in columns.plant)
+    return RecordTable(
+        timestamp=stamps.view("datetime64[us]"),
+        indoor=np.column_stack([values[col] for col in columns.indoor]),
+        outdoor=np.column_stack([values[col] for col in columns.outdoor]),
+        t_water_in=water_in,
+        t_water_out=water_out,
+        v_cool_w=v_cool_w,
+        e_v=e_v,
+        passengers=np.full(len(stamps), np.nan) if columns.passengers is None else values[columns.passengers],
+    )
+
+
+# the one-pass reader's byte fields, each a byte wider than the longest cell
+# it reads: isoformat_utc's whole-second stamp, and an anchor of 15 characters
+_STAMP_BYTES = len(_STAMP_FORM) + 1
+_ANCHOR_BYTES = 16
+# bytes of a file checked in one array operation by _plain_bytes
+_SCAN_BYTES = 1 << 16
+_LINE_CONTENT = re.compile(rb"[^\r\n]")
+
+
+def _plain_bytes(data: bytes, gaps: bool) -> bool:
+    """Whether data has no quote, NUL or bare carriage return, so that
+    each line ends at a line feed and csv.reader reads it as split at its
+    commas; with gaps set, also no empty cell but a line's last: no comma
+    after a comma or a line end."""
+    if b'"' in data or b"\0" in data or data.endswith(b"\r"):
+        return False
+    octets = np.frombuffer(data, dtype=np.uint8)
+    for lo in range(0, len(octets) - 1, _SCAN_BYTES):
+        pair = octets[lo:lo + _SCAN_BYTES + 1]
+        before, after = pair[:-1], pair[1:]
+        bad = (before == ord("\r")) & (after != ord("\n"))
+        if gaps:
+            bad |= (after == ord(",")) & ((before == ord(",")) | (before == ord("\n")))
+        if bad.any():
+            return False
+    return True
+
+
+def _lines_within(data: bytes, limit: int) -> bool:
+    """Whether no line of data is longer than limit bytes, its line end
+    not counted. Each step skips up to limit bytes to the last line end
+    among them."""
+    start = 0
+    while len(data) - start > limit:
+        end = data.rfind(b"\n", start, start + limit + 1)
+        if end < 0:
+            return False
+        start = end + 1
+    return True
+
+
+def _field_bytes(table: np.ndarray, name: str) -> np.ndarray:
+    """A byte field of a structured array as a (rows, width) matrix, each
+    cell padded with NULs."""
+    field, offset = table.dtype.fields[name]
+    return table.view(np.uint8).reshape(len(table), table.dtype.itemsize)[:, offset:offset + field.itemsize]
+
+
+def _loadtxt_table(path: str, schema: CsvSchema) -> Optional[RecordTable]:
+    """The table of a complete plain file read in one np.loadtxt pass, or
+    None where the pass declines the file (see the module docstring).
+    Every number is an f8 field, which np.loadtxt converts as float()
+    does or not at all. A column no reader reads is a 1-byte field, which
+    np.loadtxt may cut to no effect; it cuts any byte field silently, so a
+    timestamp or anchor that fills its field is declined.
+    """
+    with io_errors(path), open(path, "rb") as handle:
+        data = handle.read()
+    body = data.find(b"\n") + 1
+    # np.loadtxt warns on a file without rows
+    if not body or _LINE_CONTENT.search(data, body) is None:
+        return None
+    try:
+        header = [name.strip() for name in data[:body].decode("utf-8-sig").rstrip("\r\n").split(",")]
+        columns = _header_columns(header, schema)
+    except (UnicodeDecodeError, MissingColumn, UnreadableRow):
+        return None
+    if not (_lines_within(data, csv.field_size_limit())
+            and _plain_bytes(data, columns.passengers in (None, len(header) - 1))):
+        return None
+    del data  # np.loadtxt reads the file itself
+
+    stamp_col, anchor_col = columns.timestamp, columns.passengers
+    number_cols = [*columns.indoor, *columns.outdoor, *columns.plant]
+    kinds = {stamp_col: f"S{_STAMP_BYTES}", anchor_col: f"S{_ANCHOR_BYTES}", **dict.fromkeys(number_cols, "f8")}
+    try:
+        with io_errors(path):
+            table = np.loadtxt(path, dtype=[(f"c{col}", kinds.get(col, "S1")) for col in range(len(header))],
+                               delimiter=",", comments=None, quotechar=None, encoding="utf-8-sig", skiprows=1, ndmin=1)
+    except ValueError:
+        return None
+
+    cells = _field_bytes(table, f"c{stamp_col}")
+    if cells[:, -1].any():
+        return None
+    stamps = np.empty(len(table), dtype=np.int64)
+    for lo in range(0, len(table), _BLOCK_ROWS):
+        micros, found = _canonical_micros(cells[lo:lo + _BLOCK_ROWS])
+        for i in np.flatnonzero(~found).tolist():
+            # np.loadtxt stores a byte field's text as latin-1
+            value = _timestamp_micros(table[f"c{stamp_col}"][lo + i].decode("latin-1"))
+            if value is None:
+                return None
+            micros[i] = value
+        stamps[lo:lo + _BLOCK_ROWS] = micros
+
+    values = {col: table[f"c{col}"] for col in number_cols}
+    if not all(np.isfinite(column).all() for column in values.values()):
+        return None
+    if any((values[col] < 0).any() for col in columns.plant[2:]):
+        return None
+    if anchor_col is not None:
+        cells = _field_bytes(table, f"c{anchor_col}")
+        rows = np.flatnonzero(cells[:, 0])
+        counts = _float_column([cell.decode("latin-1") for cell in table[f"c{anchor_col}"][rows].tolist()])
+        if cells[:, -1].any() or np.isinf(counts).any() or (counts < 0).any():
+            return None
+        values[anchor_col] = np.full(len(table), np.nan)
+        values[anchor_col][rows] = counts
+    return _record_table(stamps, values, columns)
+
+
 def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     """Read one dataset file into a RecordTable, rows in file order.
 
@@ -508,44 +697,31 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     NegativeValue (for counts and meter channels that must be
     nonnegative), with the line its row starts on; within a row the
     timestamp and the numbers are read before the signs are checked.
+
+    A complete plain file is read in one np.loadtxt pass; any other, and
+    any that pass declines, by the block reader from its first byte.
     """
+    table = _loadtxt_table(path, schema)
+    if table is not None:
+        return table
     text = _read_text(path)
     # the header is checked before the records are read, so its faults come first
     header, blocks = _tokenize(text)
     if header is None:
         raise MissingColumn(schema.timestamp)
     header = [name.strip() for name in header]
-
-    indoor_cols = _channel_columns(header, schema.indoor_prefix)
-    outdoor_cols = _channel_columns(header, schema.outdoor_prefix)
-    if not indoor_cols:
-        raise MissingColumn(schema.indoor_prefix + "1")
-    if not outdoor_cols:
-        raise MissingColumn(schema.outdoor_prefix + "1")
-
-    positions = {}
-    for name in (schema.timestamp, schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v):
-        if name not in header:
-            raise MissingColumn(name)
-        positions[name] = header.index(name)
-    passenger_col = header.index(schema.passengers) if schema.passengers in header else None
-    read = {*positions, schema.passengers}
-    duplicate = next((name for name, count in Counter(header).items() if count > 1 and name in read), None)
-    if duplicate is not None:
-        raise UnreadableRow(1, f"duplicate column {duplicate!r}")
-
-    plant_cols = [positions[name] for name in (schema.t_water_in, schema.t_water_out, schema.v_cool_w, schema.e_v)]
-    optional_cols = [] if passenger_col is None else [passenger_col]
+    columns = _header_columns(header, schema)
+    optional_cols = [] if columns.passengers is None else [columns.passengers]
     # in header order, so that a row's first faulty cell is named in file order
-    float_cols = sorted([*indoor_cols, *outdoor_cols, *plant_cols, *optional_cols])
-    nonnegative_cols = sorted([positions[schema.v_cool_w], positions[schema.e_v], *optional_cols])
+    float_cols = sorted([*columns.indoor, *columns.outdoor, *columns.plant, *optional_cols])
+    nonnegative_cols = sorted([*columns.plant[2:], *optional_cols])
 
     # each block's columns are converted before the next block is split; the
     # empty first parts give a file without records its empty columns
     stamp_parts, value_parts = [np.empty(0, dtype=np.int64)], {col: [np.empty(0)] for col in float_cols}
     try:
         for block in blocks:
-            stamps, values = _convert_block(block, header, positions[schema.timestamp], float_cols, nonnegative_cols)
+            stamps, values = _convert_block(block, header, columns.timestamp, float_cols, nonnegative_cols)
             del block  # its cells go before the next block is split
             stamp_parts.append(stamps)
             for col, parts in value_parts.items():
@@ -556,20 +732,8 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
             pass
         raise
     del text  # every block is read, so the text goes before the columns are joined
-    stamps = np.concatenate(stamp_parts)
-    values = {col: np.concatenate(parts) for col, parts in value_parts.items()}
-
-    water_in, water_out, v_cool_w, e_v = (values[col] for col in plant_cols)
-    return RecordTable(
-        timestamp=stamps.view("datetime64[us]"),
-        indoor=np.column_stack([values[col] for col in indoor_cols]),
-        outdoor=np.column_stack([values[col] for col in outdoor_cols]),
-        t_water_in=water_in,
-        t_water_out=water_out,
-        v_cool_w=v_cool_w,
-        e_v=e_v,
-        passengers=np.full(len(stamps), np.nan) if passenger_col is None else values[passenger_col],
-    )
+    return _record_table(np.concatenate(stamp_parts), {col: np.concatenate(parts) for col, parts in value_parts.items()},
+                         columns)
 
 
 def format_floats(values: np.ndarray) -> list[str]:

@@ -86,6 +86,10 @@ class PassengerProfile:
     def __post_init__(self):
         require(self.kind in ("weekday", "weekend"), "kind", f"must be 'weekday' or 'weekend', got {self.kind!r}")
         require(self.daily_total >= 0, "daily_total", "must be nonnegative")
+        # hourly_weights squares the width and each hour's distance to a peak; under this bound no square overflows
+        for name in ("morning_peak_hour", "evening_peak_hour", "peak_width_hours"):
+            hours = getattr(self, name)
+            require(abs(hours) <= 1e150, name, f"must be at most 1e150 in magnitude, got {hours}")
         width = self.peak_width_hours
         require(width > 0 and width**2 > 0, "peak_width_hours", f"must be positive, its square too, got {width}")
         require(self.base_weight >= 0, "base_weight", f"must be nonnegative, got {self.base_weight}")
@@ -169,7 +173,11 @@ class HvacPlant:
         if demand <= 0 or self.refrigerator_max == 0:
             return 0.0
         stage = self.refrigerator_max / self.refrigerator_stages
-        return min(math.ceil(demand / stage) * stage, self.refrigerator_max)
+        stages = demand / stage if stage else math.inf
+        if stages == math.inf:
+            # more stages than a float counts: as for any count above refrigerator_stages, the cap
+            return self.refrigerator_max
+        return min(math.ceil(stages) * stage, self.refrigerator_max)
 
 
 @dataclass(frozen=True)

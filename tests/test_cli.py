@@ -283,6 +283,10 @@ class TestExitCodes:
             ("scenario.hvac.e_v_max", -1),
             ("scenario.hvac.refrigerator_stages", 0),
             ("scenario.noise.temp_std", -1),
+            # a square that overflowed, ending in a traceback
+            ("scenario.passengers.morning_peak_hour", 1e300),
+            ("scenario.passengers.evening_peak_hour", 1e300),
+            ("scenario.passengers.peak_width_hours", 1e300),
         ],
     )
     def test_bad_config_value(self, key, value, tmp_path, capsys):
@@ -295,6 +299,19 @@ class TestExitCodes:
         assert main(["fit", "--config", str(config), "--dataset", "x.csv",
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
+
+    @pytest.mark.parametrize("scenario, code", [
+        # a stage too small to count in a float, once an OverflowError traceback
+        ({"duration_steps": 2000, "hvac": {"refrigerator_max": 1e-300, "refrigerator_stages": 1000000000}}, EXIT_OK),
+        # noise that overflows the emitted indoor channel, once a ValueError traceback
+        ({"duration_steps": 200, "noise": {"temp_std": 1e308}}, EXIT_DEGENERATE),
+        ({"duration_steps": 200, "noise": {"temp_quantization": 1e-320}}, EXIT_DEGENERATE),
+    ], ids=["tiny-stage", "temp-std", "temp-quantization"])
+    def test_extreme_scenario_runs_or_names_its_channel(self, scenario, code, tmp_path, capsys):
+        config = tmp_path / "extreme.json"
+        config.write_text(json.dumps({"scenario": scenario}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == code
+        assert ("channel 't_in' must be finite" in capsys.readouterr().err) == (code == EXIT_DEGENERATE)
 
     @pytest.mark.parametrize("command", ["signature", "eval"])
     def test_undecodable_theta_file_is_config(self, command, day_run, tmp_path, capsys):

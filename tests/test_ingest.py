@@ -4,6 +4,7 @@ and frame assembly."""
 import math
 import time
 import tracemalloc
+import warnings
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -30,11 +31,13 @@ from thermosig.errors import (
     BadNumber,
     BadTimestamp,
     GapTooLong,
+    InvalidChannel,
     IoError,
     MisalignedTimestamp,
     MissingColumn,
     NegativeValue,
     OffClockAnchor,
+    ThermosigError,
     TooShort,
     UnreadableRow,
     UnsortedAnchors,
@@ -44,6 +47,7 @@ from thermosig.ingest import (
     FrameSeries,
     _canonical_micros,
     _plain_split,
+    _stamp_chars,
     _timestamp_micros,
     _tokenize,
     format_floats,
@@ -83,6 +87,21 @@ def _table(records: list[dict]) -> RecordTable:
     return RecordTable(
         timestamp=[row["timestamp"] for row in records],
         **{name: column(name) for name in ("indoor", "outdoor", "t_water_in", "t_water_out", "v_cool_w", "e_v", "passengers")},
+    )
+
+
+def _written_table(rows: int = 10 * 4096) -> RecordTable:
+    """rows minutes of readings as the simulator writes them, an anchor an hour."""
+    rng = np.random.default_rng(501)
+    return RecordTable(
+        timestamp=np.datetime64("2021-06-01T00:00", "us") + np.arange(rows) * np.timedelta64(60, "s"),
+        indoor=26 + rng.integers(-30, 30, (rows, 1)) * 0.1,
+        outdoor=31 + rng.normal(0, 2, (rows, 1)),
+        t_water_in=7 + rng.integers(0, 20, rows) * 0.1,
+        t_water_out=np.full(rows, 12.0),
+        v_cool_w=rng.uniform(0, 0.5, rows),
+        e_v=np.zeros(rows),
+        passengers=np.where(np.arange(rows) % 60 == 0, rng.integers(0, 900, rows), np.nan),
     )
 
 
@@ -284,18 +303,7 @@ class TestParseCsv:
     def test_traced_peak_stays_under_4_5_times_the_file_size(self, tmp_path):
         # ten blocks of rows as the simulator writes them; the quoted header
         # sends the same body through csv.reader
-        rows = 10 * 4096
-        rng = np.random.default_rng(501)
-        table = RecordTable(
-            timestamp=np.datetime64("2021-06-01T00:00", "us") + np.arange(rows) * np.timedelta64(60, "s"),
-            indoor=26 + rng.integers(-30, 30, (rows, 1)) * 0.1,
-            outdoor=31 + rng.normal(0, 2, (rows, 1)),
-            t_water_in=7 + rng.integers(0, 20, rows) * 0.1,
-            t_water_out=np.full(rows, 12.0),
-            v_cool_w=rng.uniform(0, 0.5, rows),
-            e_v=np.zeros(rows),
-            passengers=np.where(np.arange(rows) % 60 == 0, rng.integers(0, 900, rows), np.nan),
-        )
+        table = _written_table()
         plain = tmp_path / "plain.csv"
         write_records_csv(table, str(plain))
         quoted = tmp_path / "quoted.csv"
@@ -309,6 +317,17 @@ class TestParseCsv:
                 tracemalloc.stop()
             assert parsed == table
             assert peak < 4.5 * path.stat().st_size
+
+    def test_written_files_take_the_one_pass_reader(self, reference_csv, tmp_path):
+        # a decline would leave every result alike and only the time worse
+        written = tmp_path / "written.csv"
+        write_records_csv(_written_table(), str(written))
+        for path in (reference_csv, str(written)):
+            with mock.patch.object(ingest, "_read_text", wraps=ingest._read_text) as block_reader:
+                table = parse_csv(path)
+            block_reader.assert_not_called()
+            with mock.patch.object(ingest, "_loadtxt_table", return_value=None):
+                assert parse_csv(path) == table
 
     @pytest.mark.parametrize("bad_line", [3, 400])
     def test_non_utf8_byte_names_its_line(self, tmp_path, bad_line):
@@ -433,7 +452,7 @@ def _outcome(path: str):
     try:
         return parse_csv(path)
     except (BadNumber, BadTimestamp, NegativeValue, MissingColumn, UnreadableRow) as exc:
-        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None)
+        return type(exc), getattr(exc, "row", None), getattr(exc, "column", None), str(exc)
 
 
 class TestTokenizers:
@@ -479,7 +498,8 @@ class TestTokenizers:
             for header in (PLAIN_HEADER, QUOTED_HEADER):
                 path = directory / "data.csv"
                 path.write_bytes(("\ufeff" if bom else "").encode() + (header + "\n" + body).encode())
-                with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+                with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
+                        mock.patch.object(ingest, "_loadtxt_table", return_value=None):
                     outcomes.append(_outcome(str(path)))
             assert outcomes[0] == outcomes[1]
 
@@ -516,15 +536,119 @@ class TestTokenizers:
     # a quoted cell may hold a line break, which must not line up the blank cell after it with a stamp
     @example(["2021-06-01T09:00:00+00:00\n2021-06-01T09:01:00+00:00", "", "x" * 24])
     def test_block_decoded_stamps_read_as_fromisoformat(self, cells):
-        micros, found = _canonical_micros(cells)
+        micros, found = _canonical_micros(_stamp_chars(cells))
         for cell, value, hit in zip(cells, micros.tolist(), found.tolist()):
             if hit:
                 assert value == _timestamp_micros(cell)
                 assert isoformat_utc(np.array([value])) == [cell]
-        # a column in the written form is decoded whole
+        # a column in the written form is decoded whole, as cut from the text or
+        # as NUL-padded byte fields
         written = [cell for cell in cells if len(cell) == 25 and _timestamp_micros(cell) is not None
                    and isoformat_utc(np.array([_timestamp_micros(cell)])) == [cell]]
-        assert _canonical_micros(written)[1].all()
+        padded = np.array([cell.encode() for cell in written], dtype="S26").view(np.uint8).reshape(-1, 26)
+        for chars in (_stamp_chars(written), padded):
+            micros, found = _canonical_micros(chars)
+            assert found.all()
+            assert micros.tolist() == [_timestamp_micros(cell) for cell in written]
+
+
+# layouts of the one-pass reader's files: as written, the anchor column
+# inside a row or absent, and a column no reader reads
+LAYOUTS = [
+    PLAIN_HEADER,
+    "t_in_1,timestamp,passengers,t_out_1,t_water_in,t_water_out,v_cool_w,e_v",
+    "timestamp,t_in_1,t_out_1,t_water_in,t_water_out,v_cool_w,e_v",
+    PLAIN_HEADER + ",note",
+]
+_whole_seconds = st.datetimes(
+    min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31), timezones=st.just(timezone.utc)
+).map(lambda t: t.replace(microsecond=0).isoformat())
+_readings = st.floats(min_value=0.0, allow_infinity=False).map(repr) | st.integers(0, 10**20).map(str)
+_counts = st.sampled_from([""] * 4) | st.integers(0, 5000).map(str) | st.integers(0, 5000).map("{}.0".format)
+
+
+@st.composite
+def _plain_files(draw) -> tuple[str, list[str]]:
+    """A header from LAYOUTS and lines of its width, line ends included;
+    one cell or line end in forty is odd."""
+    header = draw(st.sampled_from(LAYOUTS))
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        cells = []
+        for name in header.split(","):
+            odd = draw(st.integers(0, 39)) == 0
+            if name == "timestamp":
+                cells.append(draw(st.sampled_from(STAMPS) if odd else _whole_seconds))
+            elif name == "passengers":
+                cells.append(draw(st.sampled_from(ODD_NUMBERS + ["-1", "1" * 17]) if odd else _counts))
+            elif name == "note":
+                cells.append(draw(st.text("ab ,", max_size=3) if odd else st.sampled_from(["", "a"])))
+            else:
+                cells.append(draw(st.sampled_from(ODD_NUMBERS + ["", "1e400"]) if odd else _readings))
+        odd = draw(st.integers(0, 39)) == 0
+        lines.append(",".join(cells) + draw(st.sampled_from(["\r", "\n\n", "\n  \n"]) if odd else st.sampled_from(["\n", "\r\n"])))
+    return header, lines
+
+
+WRITTEN_ROW = "2021-06-01T09:00:00+00:00,27.5,27,33,12,7,0.4,0,"
+
+
+class TestOnePassReader:
+    """np.loadtxt's one pass reads each file as the block reader does, or declines it."""
+
+    @settings(deadline=None)
+    @given(bom=st.booleans(), file=_plain_files())
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\r\n", "2021-06-01T09:01:00+00:00,27,1e-3,33,12,7,0.4,0,120.0\r\n"]))
+    @example(True, (PLAIN_HEADER, [WRITTEN_ROW + "\n"]))  # a byte order mark
+    @example(False, (PLAIN_HEADER, []))  # a header-only file
+    @example(False, (PLAIN_HEADER, ["\n", "\n"]))
+    # each file below is declined, or read with a stamp on its own
+    @example(False, (PLAIN_HEADER, ['2021-06-01T09:00:00+00:00,"27",27,33,12,7,0.4,0,\n']))  # a quote
+    @example(False, (PLAIN_HEADER + ",note", [WRITTEN_ROW + ',"\n', WRITTEN_ROW + ',"\n']))  # one quoted record
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "2\x007") + "\n"]))  # NULs
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "5\x00\n"]))
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\r", WRITTEN_ROW + "\r"]))  # bare carriage returns
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "0." + "0" * 131072 + "1") + "\n"]))  # over-long
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\n", WRITTEN_ROW[:-3] + "\n"]))  # ragged rows
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + ",\n"]))
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "") + "\n"]))  # an empty number
+    @example(False, (LAYOUTS[1], ["27,2021-06-01T09:00:00+00:00,,33,12,7,0.4,\n"]))
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "1_0") + "\n"]))  # float() reads these
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "١٢") + "\n"]))
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "nan") + "\n"]))  # non-finite numbers
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "inf") + "\n"]))
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "nan\n"]))
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace(",0.4,", ",-0.4,") + "\n"]))  # a negative meter
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "-1\n"]))  # a negative anchor
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "  \n", WRITTEN_ROW + " 7 \n"]))  # blank and padded anchors
+    @example(False, (PLAIN_HEADER, [" " + WRITTEN_ROW + "\n"]))  # an over-width stamp
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("09:00:00+00:00", "17:00:00.500000+08:00") + "\n"]))
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "1" * 17 + "\n"]))  # an over-width anchor
+    @example(False, (PLAIN_HEADER + ",note", [WRITTEN_ROW + "," + "x" * 40 + "\n"]))  # an over-width unread field
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("+00:00", "Z") + "\n"]))  # stamps read one by one
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("09:00:00+00:00", "17:00:00+08:00") + "\n"]))
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("2021", "2021-13", 1) + "\n"]))  # a bad stamp
+    @example(False, (PLAIN_HEADER.replace("t_in_2", "t_in_1"), [WRITTEN_ROW + "\n"]))  # a bad header
+    @example(False, (PLAIN_HEADER.replace("e_v", "e_w"), [WRITTEN_ROW + "\n"]))
+    def test_one_pass_reads_as_the_block_reader(self, tmp_path_factory, bom, file):
+        header, lines = file
+        path = tmp_path_factory.mktemp("one-pass") / "data.csv"
+        path.write_bytes(("\ufeff" if bom else "").encode() + (header + "\n" + "".join(lines)).encode())
+        for block_rows in (1, 4096):
+            with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")  # np.loadtxt warns on a file without rows
+                    one_pass = _outcome(str(path))
+                with mock.patch.object(ingest, "_loadtxt_table", return_value=None):
+                    assert _outcome(str(path)) == one_pass
+
+    @pytest.mark.parametrize("row", [WRITTEN_ROW.replace("27.5", ""), "," + WRITTEN_ROW[25:]], ids=["number", "stamp"])
+    def test_a_gap_is_declined_before_loadtxt(self, tmp_path, row):
+        path = tmp_path / "gap.csv"
+        path.write_text(PLAIN_HEADER + "\n" + WRITTEN_ROW + "\n" + row + "\n")
+        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
+            assert ingest._loadtxt_table(str(path), ingest.CsvSchema()) is None
+        loadtxt.assert_not_called()
 
 
 class TestWriteRoundTrip:
@@ -865,6 +989,13 @@ class TestBuildFrames:
         records = [_record(0, t_in=30.0), _record(7, t_in=31.0)]
         series = build_frames(_table(records), CONSTANTS, max_gap=6)
         assert len(series) == 8
+
+    def test_overflowing_channel_mean_is_a_channel_error(self):
+        # two readings near the float maximum sum to inf
+        records = [_record(0, t_in=(1e308, 1e308)), _record(1, t_in=(27.0, 27.0))]
+        with pytest.raises(InvalidChannel, match="channel 't_in' must be finite, got inf at index 0") as err:
+            build_frames(_table(records), CONSTANTS)
+        assert isinstance(err.value, ThermosigError)
 
     def test_too_few_records(self):
         with pytest.raises(TooShort):
