@@ -14,34 +14,27 @@ write_records_csv writes a table back, column by column.
 
 parse_csv first reads a complete plain file in one np.loadtxt pass:
 every number an f8 field, the timestamp and anchor columns fixed-width
-byte fields, and each timestamp decoded by the digit rules the block
-reader uses. The pass returns the table the block reader would, or
-declines the file, which the block reader then reads from its first
-byte and so names any fault. It declines a quote, NUL or bare carriage
-return, a line over csv's field limit, a header that is not one plain
-line, any np.loadtxt error (a ragged row, an empty or unreadable number,
-an undecodable byte), a byte field that fills its width, a timestamp
-neither decoder reads, and a non-finite number, a negative meter or
-anchor, or an anchor _float_column faults. Where the anchor column is
-last or absent, a byte scan declines an empty cell before np.loadtxt
-runs, so a file with gaps pays only the scan.
+byte fields, and each timestamp in isoformat_utc's whole-second form
+decoded from its digits, any other one on its own. The pass returns the
+table the block reader would, or declines the file, which the block
+reader then reads from its first byte and so names any fault. It
+declines a quote, NUL or bare carriage return, a line over csv's field
+limit, a header that is not one plain line, any np.loadtxt error (a
+ragged row, an empty or unreadable number, an undecodable byte), a byte
+field that fills its width, a timestamp neither decoder reads, and a
+non-finite number, a negative meter or anchor, or an anchor
+_float_column faults. Where the anchor column is last or absent, a byte
+scan declines an empty cell before np.loadtxt runs, so a file with gaps
+pays only the scan.
 
-The block reader decodes a file once and reads it _BLOCK_ROWS rows at a
-time. Each block is cut into columns, and one converter turns a block's
-columns into numbers before the next block is cut, so no more than one
-block's cells are ever held as strings: numbers as float() reads them,
-and timestamps in isoformat_utc's whole-second form as one block of
-bytes, with every other timestamp cell read on its own. csv.reader is
-the reference tokenizer. The text is cut at its line ends into blocks,
-and a block is split at its line ends and commas in one pass when
-csv.reader would read each of its lines as that split: no quote, NUL or
-bare carriage return, every line with the header's number of commas and
-within csv's field limit, and no blank row. From the first block that is
-not so on, or from the start when the header has a quote, csv.reader
-reads the records, _BLOCK_ROWS at a time, their line numbers offset by
-the lines already read. A faulty cell is raised in file order, after a
-check that no later line is one csv.reader cannot read, since that fault
-is raised first, as when a file was read whole.
+The block reader, the reference the one-pass reader is checked against,
+reads every file that pass declines. It decodes the file once, and
+csv.reader reads its records _BLOCK_ROWS at a time. One converter turns
+a block's columns into numbers, as float() and datetime.fromisoformat
+read them, before the next block is read, so no more than one block's
+cells are ever held as strings. A faulty cell is raised in file order,
+after a check that no later line is one csv.reader cannot read, since
+that fault is raised first, as when a file was read whole.
 
 Time is kept as int64 microseconds since the epoch, in UTC. A series
 stores only its start and step, and time_axis derives every frame's
@@ -60,7 +53,7 @@ import re
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
-from itertools import islice, repeat
+from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -255,8 +248,12 @@ def _micros(ts: datetime) -> int:
 def time_axis(start: datetime, step: float, count: int) -> np.ndarray:
     """int64 microseconds since the epoch of start + i * step seconds,
     i < count: the offset of frame i rounds as timedelta(seconds=i * step)
-    does, whole seconds kept apart from the half-even rounded fraction."""
+    does, whole seconds kept apart from the half-even rounded fraction.
+    Raises ValueError for an offset that int64 microseconds would wrap."""
     frac, whole = np.modf(np.arange(count) * step)
+    # under 2**62 microseconds, the start and the fraction added cannot reach 2**63
+    if not (np.abs(whole) < 2**62 // US_PER_S).all():
+        raise ValueError(f"{count} steps of {step} s from {start.isoformat()} overflow int64 microseconds")
     return _micros(start) + whole.astype(np.int64) * US_PER_S + np.rint(frac * 1e6).astype(np.int64)
 
 
@@ -286,19 +283,6 @@ def _timestamp_micros(cell: str) -> Optional[int]:
 # isoformat_utc's text of a whole-second instant: any digit where the form has a d
 _STAMP_FORM = np.frombuffer(b"dddd-dd-ddTdd:dd:dd+00:00", dtype=np.uint8)
 _STAMP_DIGITS = _STAMP_FORM == ord("d")
-
-
-def _stamp_chars(cells: Sequence[str]) -> np.ndarray:
-    """The UTF-8 bytes of timestamp cells as a (cells, 25) matrix, or a
-    matrix of NULs, which match no timestamp, unless every cell is 25
-    bytes long."""
-    count, width = len(cells), len(_STAMP_FORM) + 1
-    blob = ("\n".join(cells) + "\n").encode()
-    rows = np.frombuffer(blob, dtype=np.uint8)
-    # each cell is width - 1 bytes long when the only newlines are the ones ending the rows
-    if len(blob) != count * width or blob.count(b"\n") != count or (rows[width - 1::width] != 10).any():
-        return np.zeros((count, width - 1), dtype=np.uint8)
-    return rows.reshape(count, width)[:, :-1]
 
 
 def _canonical_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -386,44 +370,12 @@ _LINE = re.compile(r"[^\r\n]*(?:\r\n?|\n)|[^\r\n]+")
 _Block = tuple[list[Sequence[str]], Sequence[int]]
 
 
-def _lines(text: str, start: int = 0) -> Iterator[str]:
-    """The physical lines of text from offset start on."""
-    return map(re.Match.group, _LINE.finditer(text, start))
-
-
-def _plain_split(block: str, width: int) -> Optional[list[list[str]]]:
-    """The columns of block split at its line ends and commas, or None
-    unless csv.reader reads every line of it as exactly that split: no
-    quote, NUL or bare carriage return, no line longer than the csv field
-    limit, every line with width - 1 commas, and no line whose first cell
-    is blank (so no row is blank)."""
-    if '"' in block or "\0" in block:
-        return None
-    if "\r" in block:
-        block = block.replace("\r\n", "\n")
-        if "\r" in block:
-            return None
-    lines = block.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    if max(map(len, lines), default=0) > csv.field_size_limit():
-        return None
-    if set(map(str.count, lines, repeat(","))) != {width - 1}:
-        return None
-    del lines  # cut the cells from the block without keeping the lines too
-    cells = block.replace("\n", ",").split(",")
-    if block.endswith("\n"):
-        cells.pop()
-    columns = [cells[col::width] for col in range(width)]
-    return columns if all(map(str.strip, columns[0])) else None
-
-
-def _reader_blocks(reader, width: int, offset: int = 0) -> Iterator[_Block]:
+def _reader_blocks(reader, width: int) -> Iterator[_Block]:
     """(columns, line numbers) of the records reader reads next, up to
     _BLOCK_ROWS records at a time. Blank records are skipped and short ones
     padded with empty cells. A record is numbered by the line it starts
-    on, plus offset; a quoted cell holding a line break puts that line
-    before the one the reader stops at."""
+    on; a quoted cell holding a line break puts that line before the one
+    the reader stops at."""
     while True:
         rows, numbers, read = [], [], 0
         start = reader.line_num + 1
@@ -432,56 +384,25 @@ def _reader_blocks(reader, width: int, offset: int = 0) -> Iterator[_Block]:
                 read += 1
                 if "".join(cells).strip():
                     rows.append(cells + [""] * (width - len(cells)) if len(cells) < width else cells)
-                    numbers.append(start + offset)
+                    numbers.append(start)
                 start = reader.line_num + 1
         except csv.Error as exc:
-            raise UnreadableRow(reader.line_num + offset, str(exc)) from None
+            raise UnreadableRow(reader.line_num, str(exc)) from None
         if not read:
             return
         if rows:
             yield list(zip(*rows)), numbers
 
 
-def _line_blocks(text: str, start: int, width: int) -> Iterator[_Block]:
-    """(columns, line numbers) of the lines of text from offset start on,
-    where line 2 begins, _BLOCK_ROWS lines at a time. Each block goes
-    through the plain split while it qualifies; from the first block that
-    does not on, csv.reader reads the rest of the text."""
-    line, size = 2, _BLOCK_ROWS * start  # a first guess at a block's length: rows as long as the header
-    while start < len(text):
-        # the end of the block's last line: from the last line end within the
-        # guessed length (the last block's), step back or on a line at a time
-        end = text.rfind("\n", start, start + size) + 1 or start
-        count = text.count("\n", start, end)
-        while count > _BLOCK_ROWS:
-            end = text.rfind("\n", start, end - 1) + 1
-            count -= 1
-        while count < _BLOCK_ROWS and end < len(text):
-            end = text.find("\n", end) + 1 or len(text)  # the last line may lack its line end
-            count += 1
-        columns = _plain_split(text[start:end], width)
-        if columns is None:
-            yield from _reader_blocks(csv.reader(_lines(text, start)), width, line - 1)
-            return
-        yield columns, range(line, line + count)
-        del columns  # let the block's cells go before the next block is split
-        line, start, size = line + count, end, end - start
-
-
 def _tokenize(text: str) -> tuple[Optional[list[str]], Iterator[_Block]]:
     """The header csv.reader reads from text (None when there is none) and
     the blocks of records after it, read as they are taken."""
-    first = _LINE.match(text)
-    if first is None:
-        return None, iter(())
-    # a quoted header may run on past its line, so csv.reader reads the whole text
-    quoted = '"' in first.group()
-    reader = csv.reader(_lines(text) if quoted else [first.group()])
+    reader = csv.reader(map(re.Match.group, _LINE.finditer(text)))
     try:
-        header = next(reader)
+        header = next(reader, None)
     except csv.Error as exc:
         raise UnreadableRow(reader.line_num, str(exc)) from None
-    return header, _reader_blocks(reader, len(header)) if quoted else _line_blocks(text, first.end(), len(header))
+    return header, _reader_blocks(reader, len(header or ()))
 
 
 def _convert_block(block: _Block, header: list[str], timestamp_col: int, float_cols: list[int],
@@ -491,16 +412,10 @@ def _convert_block(block: _Block, header: list[str], timestamp_col: int, float_c
     number, then the signs of the meters."""
     columns, numbers = block
     cells = columns[timestamp_col]
-    stamps, found = _canonical_micros(_stamp_chars(cells))
-    bad_stamps = np.zeros(len(numbers), dtype=bool)
-    for i in np.flatnonzero(~found).tolist():
-        micros = _timestamp_micros(cells[i])
-        if micros is None:
-            bad_stamps[i] = True
-        else:
-            stamps[i] = micros
+    micros = [_timestamp_micros(cell) for cell in cells]
+    stamps = np.array([0 if value is None else value for value in micros], dtype=np.int64)
     values = {col: _float_column(columns[col]) for col in float_cols}
-    faults = bad_stamps.copy()
+    faults = np.array([value is None for value in micros])
     for col in float_cols:
         faults |= np.isinf(values[col])
     for col in nonnegative_cols:
@@ -508,7 +423,7 @@ def _convert_block(block: _Block, header: list[str], timestamp_col: int, float_c
     if faults.any():
         i = int(np.argmax(faults))
         row = numbers[i]
-        if bad_stamps[i]:
+        if micros[i] is None:
             raise BadTimestamp(row, cells[i])
         for col in float_cols:
             if np.isinf(values[col][i]):
@@ -716,13 +631,13 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
     float_cols = sorted([*columns.indoor, *columns.outdoor, *columns.plant, *optional_cols])
     nonnegative_cols = sorted([*columns.plant[2:], *optional_cols])
 
-    # each block's columns are converted before the next block is split; the
+    # each block's columns are converted before the next block is read; the
     # empty first parts give a file without records its empty columns
     stamp_parts, value_parts = [np.empty(0, dtype=np.int64)], {col: [np.empty(0)] for col in float_cols}
     try:
         for block in blocks:
             stamps, values = _convert_block(block, header, columns.timestamp, float_cols, nonnegative_cols)
-            del block  # its cells go before the next block is split
+            del block  # its cells go before the next block is read
             stamp_parts.append(stamps)
             for col, parts in value_parts.items():
                 parts.append(values[col])

@@ -268,12 +268,12 @@ class _CellSolver:
     beta equals the full sort's on every input.
 
     Cells are evaluated in batches of about _BATCH_ELEMENTS cell-rows, so
-    each float64 working array (512 KiB) fits in a core's L2 cache. Each
-    worker takes every `threads`-th batch and reuses one set of working
-    arrays, allocated once per solver, for all of them. The batch size
-    follows from the row count alone, and every cell is reduced along its
-    own row, so the results are bit-identical for any batch size, any
-    `threads` and any set of cells evaluated together.
+    each float64 working array (512 KiB) fits in a core's L2 cache. Up to
+    `threads` workers, one a batch at most, each take every workers-th
+    batch and reuse one set of working arrays, allocated on first use.
+    The batch size follows from the row count alone, and every cell is
+    reduced along its own row, so the results are bit-identical for any
+    batch size, any `threads` and any set of cells evaluated together.
 
     The weights, the sample and the rounding margins depend on the system
     alone and are built once, so a fit calls the solver once a round.
@@ -292,7 +292,7 @@ class _CellSolver:
         self.half_weight = 0.5 * self.weights.sum()
         self.n_rows, self.n_kept = len(self.a3), len(self.weights)
         self.batch = max(1, _BATCH_ELEMENTS // self.n_rows)
-        self.buffers = [None] * threads
+        self.buffers = {}  # worker slot -> its working arrays
         if self.n_kept:
             cumulative = np.cumsum(self.weights)
             quantiles = (np.arange(_SAMPLE_ROWS) + 0.5) / _SAMPLE_ROWS * cumulative[-1]
@@ -327,7 +327,7 @@ class _CellSolver:
             # Arrays freed after every batch went back to the OS, and faulting
             # them in again took a third of a pass, so each worker slot
             # allocates once per solver.
-            if self.buffers[slot] is None:
+            if slot not in self.buffers:
                 self.buffers[slot] = (
                     np.empty((2, self.batch * self.n_rows)),
                     np.empty((2, self.batch * self.n_kept)),

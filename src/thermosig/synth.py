@@ -228,6 +228,14 @@ class Scenario:
         require(self.duration_steps >= 2, "duration_steps", "must be at least 2")
         if self.start.tzinfo is None:
             object.__setattr__(self, "start", self.start.replace(tzinfo=timezone.utc))
+        # simulate's first and last instants, which a CSV timestamp must hold:
+        # timedelta rounds as time_axis does, and overflows past datetime's range
+        try:
+            self.start.astimezone(timezone.utc) + timedelta(seconds=(self.duration_steps - 1) * self.constants.step)
+            fits = True
+        except OverflowError:
+            fits = False
+        require(fits, "duration_steps", f"must keep the run in datetime's range at a step of {self.constants.step} s")
 
 
 def _hour_of_day(local_us: np.ndarray) -> np.ndarray:

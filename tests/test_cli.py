@@ -313,6 +313,16 @@ class TestExitCodes:
         assert main(["simulate", "--config", str(config), "--out", str(tmp_path)]) == code
         assert ("channel 't_in' must be finite" in capsys.readouterr().err) == (code == EXIT_DEGENERATE)
 
+    @pytest.mark.parametrize("step", [1e300, 1e13])
+    def test_run_past_datetimes_range_names_its_length(self, step, tmp_path, capsys):
+        # the time axis once wrapped around: exit 3 on unsorted anchors at 1e300,
+        # and at 1e13 a dataset.csv whose third row fit rejects (year -265646)
+        config = tmp_path / "long.json"
+        config.write_text(json.dumps({"scenario": {"duration_steps": 200, "constants": {"step": step}}}))
+        assert main(["simulate", "--config", str(config), "--out", str(tmp_path / "sim")]) == EXIT_CONFIG
+        assert "config.scenario.duration_steps" in capsys.readouterr().err
+        assert not (tmp_path / "sim" / "dataset.csv").exists()
+
     @pytest.mark.parametrize("command", ["signature", "eval"])
     def test_undecodable_theta_file_is_config(self, command, day_run, tmp_path, capsys):
         theta = tmp_path / "theta.json"

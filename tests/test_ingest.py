@@ -5,6 +5,7 @@ import math
 import time
 import tracemalloc
 import warnings
+from dataclasses import replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from unittest import mock
@@ -46,8 +47,6 @@ from thermosig.ingest import (
     CHANNELS,
     FrameSeries,
     _canonical_micros,
-    _plain_split,
-    _stamp_chars,
     _timestamp_micros,
     _tokenize,
     format_floats,
@@ -301,21 +300,25 @@ class TestParseCsv:
         assert np.isnan(parse_csv(self._write(tmp_path, body)).indoor[:, 1]).all()
 
     def test_traced_peak_stays_under_4_5_times_the_file_size(self, tmp_path):
-        # ten blocks of rows as the simulator writes them; the quoted header
-        # sends the same body through csv.reader
+        # ten blocks of rows as the simulator writes them; the quoted header,
+        # and an empty cell in a hundred, send the same rows through csv.reader
         table = _written_table()
         plain = tmp_path / "plain.csv"
         write_records_csv(table, str(plain))
         quoted = tmp_path / "quoted.csv"
         quoted.write_bytes(b'"timestamp"' + plain.read_bytes()[len(b"timestamp"):])
-        for path in (plain, quoted):
+        indoor = table.indoor.copy()
+        indoor[::100] = np.nan
+        gaps = tmp_path / "gaps.csv"
+        write_records_csv(replace(table, indoor=indoor), str(gaps))
+        for path, expected in ((plain, table), (quoted, table), (gaps, replace(table, indoor=indoor))):
             tracemalloc.start()
             try:
                 parsed = parse_csv(str(path))
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert parsed == table
+            assert parsed == expected
             assert peak < 4.5 * path.stat().st_size
 
     def test_written_files_take_the_one_pass_reader(self, reference_csv, tmp_path):
@@ -409,7 +412,7 @@ class TestParseCsv:
 
 HEADER_NAMES = ("timestamp", "t_in_1", "t_in_2", "t_out_1", "t_water_in", "t_water_out", "v_cool_w", "e_v", "passengers")
 PLAIN_HEADER = ",".join(HEADER_NAMES)
-# csv.reader reads "timestamp" as timestamp, and the quote keeps the file off the plain split
+# csv.reader reads "timestamp" as timestamp, and the quote keeps the file off the one-pass reader
 QUOTED_HEADER = PLAIN_HEADER.replace("timestamp", '"timestamp"', 1)
 VALID_NUMBERS = ["27", "0.4", "12.5", "0", "1e3", "7", "", "33.25"]
 ODD_NUMBERS = ["-2.5", "nan", "inf", "-inf", "oops", " ", " 4 ", "1_0", "\u22123", "2\x007", "١٢", "7\u2028", "\x0b7\x85"]
@@ -456,14 +459,17 @@ def _outcome(path: str):
 
 
 class TestTokenizers:
-    """The plain split and csv.reader give every file the same reading."""
+    """A file under the plain header, read one-pass first, and under the
+    quoted header, which only csv.reader reads, gives the same reading."""
 
     @settings(deadline=None)
     @given(bom=st.booleans(), lines=st.lists(_lines(), max_size=6), final_newline=st.booleans())
-    # a plain file, which the plain split reads
+    # a plain file, which the one-pass reader reads, and the same file with a gap
+    @example(False, ["2021-06-01T09:00:00+00:00,27,27.5,33,12,7,0.4,0,\n",
+                     "2021-06-01T09:01:00+00:00,27,26,33,12,7,0.4,125,60\n"], True)
     @example(False, ["2021-06-01T09:00:00+00:00,27,27.5,33,12,7,0.4,0,\n",
                      "2021-06-01T09:01:00+00:00,27,,33,12,7,0.4,125,60\n"], True)
-    # each file below goes to csv.reader
+    # each file below is declined by the one-pass reader
     @example(False, ['2021-06-01T09:00:00+00:00,"27\n",27,33,12,7,0.4,0,\n',
                      "2021-06-01T09:01:00+00:00,27,27,33,12,7,oops,0,\n"], True)
     @example(False, ["2021-06-01T09:00:00+00:00,27,27,33,12,7,0.4,0,\n", "\n",
@@ -477,7 +483,7 @@ class TestTokenizers:
     @example(True, ["2021-06-01T09:00:00Z,27,27,33,12,7,0.4,-1,\r\n"], False)
     @example(False, [], True)
     @example(False, [], False)
-    # in blocks of one or two lines, only the last block is not plain
+    # in blocks of one or two lines, a short row comes a block after a bad cell
     @example(False, ["2021-06-01T09:00:00+00:00,27,27,33,12,7,0.4,0,\n",
                      "2021-06-01T09:01:00+00:00,27,27,33,12,7,oops,0,\n",
                      "2021-06-01T09:02:00+00:00,27,27,33,12,7,0.4,0,\n",
@@ -486,35 +492,21 @@ class TestTokenizers:
     @example(False, ["2021-06-01T09:00:00+00:00,27,27,33,12,7,oops,0,\n",
                      "2021-06-01T09:01:00+00:00,27,27,33,12,7,0.4,0,\n",
                      "2021-06-01T09:02:00+00:00,27," + "7" * 131073 + ",33,12,7,0.4,0,\n"], True)
-    def test_plain_split_reads_as_csv_reader(self, tmp_path_factory, bom, lines, final_newline):
+    def test_plain_header_reads_as_quoted_header(self, tmp_path_factory, bom, lines, final_newline):
         body = "".join(lines)
         if not final_newline:
             body = body.rstrip("\r\n")
         directory = tmp_path_factory.mktemp("tokenizers")
-        # in blocks of one and two lines, blank, short and long rows, faults
-        # and fallback triggers fall on both sides of a block boundary
+        # in blocks of one and two lines, blank, short and long rows and
+        # faults fall on both sides of a block boundary
         for block_rows in (1, 2, 4096):
             outcomes = []
             for header in (PLAIN_HEADER, QUOTED_HEADER):
                 path = directory / "data.csv"
                 path.write_bytes(("\ufeff" if bom else "").encode() + (header + "\n" + body).encode())
-                with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows), \
-                        mock.patch.object(ingest, "_loadtxt_table", return_value=None):
+                with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
                     outcomes.append(_outcome(str(path)))
             assert outcomes[0] == outcomes[1]
-
-    @pytest.mark.parametrize("body", [
-        '2021-06-01T09:00:00Z,"27",27,33,12,7,0.4,0,\n',
-        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n\n",
-        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\n,,,,,,,,\n",
-        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0\n",
-        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,,\n",
-        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0,\r",
-        "2021-06-01T09:00:00Z,2\x007,27,33,12,7,0.4,0,\n",
-        "2021-06-01T09:00:00Z,27,27,33,12,7,0.4,0," + "7" * 131073 + "\n",
-    ], ids=["quote", "blank-line", "blank-row", "short-row", "long-row", "bare-cr", "nul", "over-long-line"])
-    def test_fallback_triggers_leave_the_plain_split(self, body):
-        assert _plain_split(PLAIN_HEADER + "\n" + body, len(HEADER_NAMES)) is None
 
     def test_plain_file_is_split_by_lines_and_commas(self):
         header, blocks = _tokenize(PLAIN_HEADER + "\r\n2021-06-01T09:00:00Z,27,, 3,12,7,0.4,0,\r\n"
@@ -522,7 +514,7 @@ class TestTokenizers:
         (columns, numbers), = blocks
         assert header == list(HEADER_NAMES)
         assert [column[1] for column in columns] == ["2021-06-01T09:01:00Z", "28", "1", "33", "12", "7", "0.4", "0", "5"]
-        assert columns[3] == [" 3", "33"]
+        assert columns[3] == (" 3", "33")
         assert list(numbers) == [2, 3]
 
     @given(st.lists(_stamps, max_size=8))
@@ -531,25 +523,26 @@ class TestTokenizers:
     @example(["2021-06-01T11:00:00+02:00", "2021-06-01T09:00:00-00:00"])
     @example(["2024-02-29T00:00:00+00:00", "2023-02-29T00:00:00+00:00", "2021-04-31T00:00:00+00:00"])
     @example(["0000-01-01T00:00:00+00:00", "2021-06-01T24:00:00+00:00", "2021-06-01T09:60:00+00:00"])
-    # as long as two cells of the form together, but the first cell's 26th character is not a line end
+    # a stamp with a byte after it fills its field, and a longer cell is cut to fill it
     @example(["2021-06-01T09:00:00+00:00x", "021-06-01T09:00:00+00:00"])
-    # a quoted cell may hold a line break, which must not line up the blank cell after it with a stamp
     @example(["2021-06-01T09:00:00+00:00\n2021-06-01T09:01:00+00:00", "", "x" * 24])
     def test_block_decoded_stamps_read_as_fromisoformat(self, cells):
-        micros, found = _canonical_micros(_stamp_chars(cells))
+        def padded(column):
+            # NUL-padded S26 byte fields, as the one-pass reader holds them; a
+            # longer cell is cut to fill its field, which no timestamp does
+            return np.array([cell.encode() for cell in column], dtype="S26").view(np.uint8).reshape(-1, 26)
+
+        micros, found = _canonical_micros(padded(cells))
         for cell, value, hit in zip(cells, micros.tolist(), found.tolist()):
             if hit:
                 assert value == _timestamp_micros(cell)
                 assert isoformat_utc(np.array([value])) == [cell]
-        # a column in the written form is decoded whole, as cut from the text or
-        # as NUL-padded byte fields
+        # a column in the written form is decoded whole
         written = [cell for cell in cells if len(cell) == 25 and _timestamp_micros(cell) is not None
                    and isoformat_utc(np.array([_timestamp_micros(cell)])) == [cell]]
-        padded = np.array([cell.encode() for cell in written], dtype="S26").view(np.uint8).reshape(-1, 26)
-        for chars in (_stamp_chars(written), padded):
-            micros, found = _canonical_micros(chars)
-            assert found.all()
-            assert micros.tolist() == [_timestamp_micros(cell) for cell in written]
+        micros, found = _canonical_micros(padded(written))
+        assert found.all()
+        assert micros.tolist() == [_timestamp_micros(cell) for cell in written]
 
 
 # layouts of the one-pass reader's files: as written, the anchor column
@@ -611,6 +604,7 @@ class TestOnePassReader:
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "0." + "0" * 131072 + "1") + "\n"]))  # over-long
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\n", WRITTEN_ROW[:-3] + "\n"]))  # ragged rows
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW + ",\n"]))
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\n", ",,,,,,,,\n"]))  # an all-commas blank row
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "") + "\n"]))  # an empty number
     @example(False, (LAYOUTS[1], ["27,2021-06-01T09:00:00+00:00,,33,12,7,0.4,\n"]))
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "1_0") + "\n"]))  # float() reads these
@@ -1088,6 +1082,12 @@ class TestTimeAxis:
     def test_isoformat_of_the_axis_matches_timedelta_steps(self, instant, zone, step, count):
         start = instant.replace(tzinfo=timezone.utc).astimezone(zone)
         assert isoformat_utc(time_axis(start, step, count)) == _stepped_isoformat(start, step, count)
+
+    @pytest.mark.parametrize("step", [1e300, 1e13])
+    def test_offsets_past_int64_microseconds_raise(self, step):
+        # 1e13 once wrapped around to the year -265646
+        with pytest.raises(ValueError, match="overflow int64 microseconds"):
+            time_axis(T0, step, 200)
 
     def test_naive_start_is_utc_whatever_the_local_zone(self, monkeypatch):
         columns = {name: [1.0, 1.0] for name in CHANNELS}

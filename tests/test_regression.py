@@ -1,6 +1,7 @@
 """System assembly, the relative L1 objective, the closed-form inner
 solve, the grid search and its pruned refinement passes."""
 
+import tracemalloc
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -485,6 +486,23 @@ class TestBatching:
 
         for c_p, alpha, beta, _ in default.surface[[0, 41, 100, n_cells - 1]]:
             assert beta == _weighted_median_beta(c_p, alpha, system.rows, system.targets)
+
+    def test_working_arrays_follow_the_workers_not_the_thread_count(self):
+        # a list of 10**7 worker slots once took 76 MiB; two cells are one
+        # batch, so the call runs one worker, on this thread
+        system = _random_system(np.random.default_rng(37), 300)
+        tracemalloc.start()
+        try:
+            solver = regression._CellSolver(system.rows, system.targets, 10**7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        cells = np.array([100.0, 120.0]), np.array([50.0, 40.0])
+        beta, numerator, _ = solver(*cells)
+        assert list(solver.buffers) == [0]
+        reference = regression._CellSolver(system.rows, system.targets, 1)(*cells)
+        assert (beta.tobytes(), numerator.tobytes()) == (reference[0].tobytes(), reference[1].tobytes())
 
 
 def _exhaustive_fit(system, grid, use_integrated=False, threads=1):

@@ -3,8 +3,8 @@ and the CSV round trip back through ingestion."""
 
 import json
 import math
-from dataclasses import asdict
-from datetime import datetime
+from dataclasses import asdict, replace
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -28,6 +28,7 @@ from thermosig import (
 )
 from thermosig.core import from_json
 from thermosig.errors import DivergedState
+from thermosig.ingest import isoformat_utc, time_axis
 from thermosig.synth import IdentifiabilityWarning
 
 
@@ -264,6 +265,22 @@ class TestScenarioSerialization:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):
             from_json(Scenario, {"sedd": 3}, "scenario")
+
+    LAST_MINUTE = datetime(9999, 12, 31, 23, 58, 59, 999999, tzinfo=timezone.utc)
+
+    @pytest.mark.parametrize("start, step", [
+        (LAST_MINUTE, 60.000001),  # a microsecond past datetime's last instant
+        (datetime(9999, 12, 31, 23, 0, tzinfo=timezone(timedelta(hours=-5))), 60.0),  # a start past it in UTC
+        (datetime(1, 1, 1, tzinfo=timezone(timedelta(hours=5))), 60.0),  # a start before its first
+    ])
+    def test_run_outside_datetimes_range_rejected(self, start, step):
+        with pytest.raises(ValueError, match="duration_steps must keep the run in datetime's range"):
+            Scenario(duration_steps=2, start=start, constants=replace(Scenario().constants, step=step))
+
+    def test_run_may_end_on_datetimes_last_instant(self):
+        scenario = Scenario(duration_steps=2, start=self.LAST_MINUTE)
+        last = isoformat_utc(time_axis(scenario.start, scenario.constants.step, 2))[-1]
+        assert last == datetime.max.replace(tzinfo=timezone.utc).isoformat()
 
     def test_reference_run_is_identifiable(self, reference_run):
         _, _, identifiability = reference_run
