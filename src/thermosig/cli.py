@@ -19,10 +19,12 @@ import sys
 from dataclasses import asdict, dataclass
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .core import HvacMode, StationConstants, Theta, from_json, require
 from .errors import ConfigError, IoError, RegressionError, ThermosigError, io_errors
 from .ingest import (
-    CsvSchema, FrameSeries, ModeRule, build_frames, format_floats, isoformat_utc, parse_csv, time_axis, write_columns
+    CsvSchema, FloatCells, FrameSeries, ModeRule, build_frames, isoformat_utc, parse_csv, time_axis, write_columns
 )
 from .models import balance_target, load, supply
 from .regression import FitResult, GridSpec, RegressionSystem, assemble, grid_fit, integrate, objective
@@ -159,7 +161,7 @@ def cmd_fit(config: RunConfig, dataset: str, out_dir: str, use_integrated: bool)
     write_columns(
         os.path.join(out_dir, "error_surface.csv"),
         ["c_p", "alpha", "beta_ac", "objective"],
-        [(format_floats, column) for column in result.surface.T],
+        [(FloatCells(), column) for column in result.surface.T],
         "\n",
     )
     print(
@@ -167,6 +169,13 @@ def cmd_fit(config: RunConfig, dataset: str, out_dir: str, use_integrated: bool)
         f"beta_ac={result.theta.beta_ac:g} relative_error={result.relative_error:.6g}"
     )
     return result
+
+
+def _frame_order_sum(column: np.ndarray) -> float:
+    """The column's float64 total added in frame order from 0.0, as Python
+    3.11's sum() adds floats: not the pairwise np.sum, nor 3.12's
+    compensated sum(). Starting from 0.0 totals a column of -0.0 as 0.0."""
+    return float(np.add.accumulate(np.concatenate([[0.0], column]))[-1])
 
 
 def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str) -> None:
@@ -198,13 +207,12 @@ def cmd_signature(config: RunConfig, dataset: str, theta_path: str, out_dir: str
             (isoformat_utc, series.micros[:-1]),
             # _value_ is the plain attribute; Enum.value is a Python-level property
             (lambda modes: [mode._value_ for mode in modes.tolist()], series.mode[:-1]),
-            *((format_floats, column) for column in signature.values()),
+            *((FloatCells(), column) for column in signature.values()),
         ],
         "\n",
     )
 
-    # builtin sum over Python floats in frame order, not the pairwise np.sum
-    sums = {name: sum(column.tolist()) for name, column in signature.items() if name != "residual"}
+    sums = {name: _frame_order_sum(column) for name, column in signature.items() if name != "residual"}
     shares = {}
     if sums["l_total"] != 0.0:
         shares = {

@@ -40,9 +40,12 @@ Time is kept as int64 microseconds since the epoch, in UTC. A series
 stores only its start and step, and time_axis derives every frame's
 instant from them. No per-frame datetime is built on the way from a CSV
 to an artifact. write_columns writes every CSV artifact, formatting
-blocks of rows a column at a time: isoformat_utc for instants and
-format_floats for numbers, which formats each distinct value of a block
-once.
+_BLOCK_ROWS rows a column at a time. isoformat_utc builds each
+whole-second instant from its day's text, made once for each distinct
+day, and its time of day's digits. A FloatCells formats a column of
+numbers: each distinct value of a block once, reusing the string of any
+value the previous block held. A column's cells for one block and its
+previous block's distinct strings are all that is held.
 """
 
 from __future__ import annotations
@@ -81,6 +84,10 @@ US_PER_HOUR = 3600 * US_PER_S
 # CSV rows formatted and written at a time: enough to amortize a write,
 # few enough that a block's strings stay a small share of memory
 _BLOCK_ROWS = 4096
+# isoformat_utc's time of day and suffix; it writes each stamp's digits over the zeros
+_CLOCK_CODES = np.array(["T00:00:00+00:00"]).view(np.uint32)
+# days since the epoch of datetime's first and last dates
+_DATETIME_DAYS = ((datetime.min - datetime(1970, 1, 1)).days, (datetime.max - datetime(1970, 1, 1)).days)
 
 
 @dataclass(frozen=True)
@@ -259,13 +266,43 @@ def time_axis(start: datetime, step: float, count: int) -> np.ndarray:
 
 def isoformat_utc(micros: np.ndarray) -> list[str]:
     """datetime.isoformat() of each UTC instant, int64 microseconds since
-    the epoch: a +00:00 suffix, and the fraction only where it is nonzero."""
-    stamps = np.asarray(micros, dtype=np.int64).view("datetime64[us]")
+    the epoch: a +00:00 suffix, and the fraction only where it is nonzero.
+
+    A whole-second stamp is its day's text, made once for each distinct
+    day, followed by its time of day's digits. A stamp with a fraction, or
+    on a day outside datetime's years, is formatted on its own."""
+    micros = np.asarray(micros, dtype=np.int64)
+    days, clock = np.divmod(micros // US_PER_S, 86400)
+    dates, date_index = np.unique(days, return_inverse=True)
+    held = (_DATETIME_DAYS[0] <= dates) & (dates <= _DATETIME_DAYS[1])
+    # a day datetime cannot hold may not be 10 characters; its stamps are formatted on their own
+    date_text = np.datetime_as_string(np.where(held, dates, 0).astype("datetime64[D]")).astype("U10")
+    hours, rest = np.divmod(clock, 3600)
+    tens, units = np.divmod(np.stack([hours, *np.divmod(rest, 60)], axis=1), 10)
+    # one row of code points a stamp: "YYYY-MM-DD" then "THH:MM:SS+00:00"
+    codes = np.empty((len(micros), 25), dtype=np.uint32)
+    codes[:, :10] = date_text.view(np.uint32).reshape(len(dates), 10)[date_index]
+    codes[:, 10:] = _CLOCK_CODES
+    codes[:, [11, 14, 17]] = tens + ord("0")
+    codes[:, [12, 15, 18]] = units + ord("0")
+    text = codes.view("U25").ravel()
+    own = np.flatnonzero((micros % US_PER_S != 0) | ~held[date_index])
+    if not own.size:
+        return text.tolist()
+    text = text.astype(object)
+    text[own] = _isoformat_each(micros[own])
+    return text.tolist()
+
+
+def _isoformat_each(micros: np.ndarray) -> np.ndarray:
+    """isoformat_utc of each instant, one numpy datetime string each, as an
+    object array."""
+    stamps = micros.view("datetime64[us]")
     text = np.datetime_as_string(stamps, unit="s").astype(object)
-    fractional = np.flatnonzero(stamps.view(np.int64) % US_PER_S)
+    fractional = np.flatnonzero(micros % US_PER_S)
     if fractional.size:
         text[fractional] = np.datetime_as_string(stamps[fractional], unit="us")
-    return (text + "+00:00").tolist()
+    return text + "+00:00"
 
 
 def _timestamp_micros(cell: str) -> Optional[int]:
@@ -653,21 +690,47 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
 
 def format_floats(values: np.ndarray) -> list[str]:
     """repr of each float, and an empty cell where it is NaN."""
-    # sensor readings repeat a few values, so format each distinct bit
-    # pattern once; bits, not float equality, keep -0.0 apart from 0.0
-    distinct, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
-    cells = np.array([repr(value) if value == value else "" for value in distinct.view(float).tolist()], dtype=object)
-    return cells[inverse].tolist()
+    return FloatCells()(values)
+
+
+class FloatCells:
+    """format_floats for the blocks of one column, called on each in turn.
+
+    Sensor readings repeat a few values, so each distinct bit pattern of a
+    block is formatted once; bits, not float equality, keep -0.0 apart from
+    0.0. A value the previous block held reuses that block's string, so only
+    new values go through repr. Only the previous block's distinct bit
+    patterns and their strings are carried, replaced after every block."""
+
+    def __init__(self):
+        self._bits = np.empty(0, dtype=np.int64)
+        self._cells = np.empty(0, dtype=object)
+
+    def __call__(self, values: np.ndarray) -> list[str]:
+        bits, inverse = np.unique(np.asarray(values, dtype=float).view(np.int64), return_inverse=True)
+        cells = np.empty(len(bits), dtype=object)
+        new = np.ones(len(bits), dtype=bool)
+        if len(self._bits):
+            at = np.minimum(np.searchsorted(self._bits, bits), len(self._bits) - 1)
+            new = self._bits[at] != bits
+            cells[~new] = self._cells[at[~new]]
+        cells[new] = [repr(value) if value == value else "" for value in bits[new].view(float).tolist()]
+        self._bits, self._cells = bits, cells
+        return cells[inverse].tolist()
 
 
 def write_columns(path: str, header: list[str], columns: list[tuple[Callable, np.ndarray]], terminator: str) -> None:
     """Write a CSV of (format, values) columns, each line ended by terminator:
     the header through csv.writer, which quotes the names that need it, then
-    _BLOCK_ROWS rows at a time, each column's cells made by its format. Those
-    cells never need quoting. Raises IoError naming the path."""
+    _BLOCK_ROWS rows at a time, each column's cells made by its format, called
+    on the column's blocks in order. Those cells never need quoting. Raises
+    ValueError if the columns differ in length, and IoError naming the path."""
+    lengths = [len(values) for _, values in columns]
+    if len(set(lengths)) > 1:
+        raise ValueError(f"columns of {path} differ in length: {lengths}")
     with io_errors(path), open(path, "w", newline="", encoding="utf-8") as handle:
         csv.writer(handle, lineterminator=terminator).writerow(header)
-        for lo in range(0, len(columns[0][1]), _BLOCK_ROWS):
+        for lo in range(0, lengths[0], _BLOCK_ROWS):
             block = [format_cells(values[lo:lo + _BLOCK_ROWS]) for format_cells, values in columns]
             handle.write(terminator.join(map(",".join, zip(*block))) + terminator)
 
@@ -684,7 +747,7 @@ def write_records_csv(table: RecordTable, path: str, schema: CsvSchema = CsvSche
 
     floats = [*table.indoor.T, *table.outdoor.T]
     floats += [table.t_water_in, table.t_water_out, table.v_cool_w, table.e_v, table.passengers]
-    columns = [(isoformat_utc, table.timestamp.view(np.int64)), *((format_floats, values) for values in floats)]
+    columns = [(isoformat_utc, table.timestamp.view(np.int64)), *((FloatCells(), values) for values in floats)]
     write_columns(path, header, columns, "\r\n")
 
 

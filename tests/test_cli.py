@@ -1,8 +1,11 @@
 """Command line behavior: artifacts, determinism, and exit codes."""
 
+import functools
 import hashlib
 import inspect
 import json
+import math
+import operator
 import re
 import warnings
 from pathlib import Path
@@ -126,6 +129,23 @@ class TestSignature:
         l_total = [abs(float(line.split(",")[2])) for line in rows]
         residuals = [abs(float(line.split(",")[6])) for line in rows]
         assert max(residuals) <= 1e-9 * max(l_total)
+
+    def test_totals_add_each_frame_in_order_from_zero(self, day_run, tmp_path):
+        out = tmp_path / "signature"
+        assert main(["signature", "--config", day_run.config, "--dataset", day_run.dataset,
+                     "--theta", day_run.truth, "--out", str(out)]) == EXIT_OK
+        header, *rows = (line.split(",") for line in (out / "signature.csv").read_text().splitlines())
+        totals = json.loads((out / "summary.json").read_text())["totals"]
+        assert sorted(totals) == ["l_environment", "l_passenger", "l_total", "supply"]
+        for name, total in totals.items():
+            column = [float(row[header.index(name)]) for row in rows]
+            assert total == functools.reduce(operator.add, column, 0.0)
+
+    def test_frame_order_sum_is_not_compensated(self):
+        # Python 3.12's sum() gives 2.0 here; 3.11's, and the summary's, 0.0
+        column = [0.1] * 10 + [1e16, 1.0, -1e16]
+        assert thermosig.cli._frame_order_sum(np.array(column)) == functools.reduce(operator.add, column, 0.0) == 0.0
+        assert math.copysign(1.0, thermosig.cli._frame_order_sum(np.array([-0.0, -0.0]))) == 1.0
 
     def test_non_positive_denominator_writes_null(self, day_run, tmp_path):
         # a negative c_p makes the modeled load negative; the objective is then undefined

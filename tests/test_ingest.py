@@ -705,6 +705,61 @@ class TestFormatFloats:
         assert path.read_text().splitlines() == ["x", "0.0", "-0.0", "", "-0.0", "0.0"]
 
 
+# whole-second instants near day, leap-day and year edges, and datetime's
+# first and last days, kept a few seconds inside its range; the last two
+# hold a different digit in each place of the time of day
+_STAMP_EDGES = np.array([ingest._micros(stamp) for stamp in (
+    datetime(2020, 2, 28, 23, 59, 58), datetime(2020, 2, 29, 23, 59, 57), datetime(2019, 12, 31, 23, 59, 59),
+    datetime(2000, 2, 29, 12), datetime(2021, 6, 1), datetime(1969, 12, 31, 23, 59, 59),
+    datetime(1, 1, 1, 0, 0, 3), datetime(9999, 12, 31, 23, 59, 56),
+    datetime(2021, 10, 17, 13, 47, 29), datetime(1987, 3, 8, 20, 16, 35),
+)], dtype=np.int64)
+
+
+class TestWriteColumns:
+    @settings(deadline=None)
+    @given(
+        blocks=st.sampled_from([1, 7, 4096]).flatmap(lambda size: st.tuples(st.just(size), st.integers(1, 2 * size + 3))),
+        pool=st.lists(st.sampled_from(range(len(_FLOAT_POOL))), min_size=1, max_size=len(_FLOAT_POOL), unique=True),
+        seed=st.integers(0, 2**32 - 1),
+        zeros_at_edges=st.booleans(),
+        fractions=st.booleans(),
+    )
+    def test_matches_repr_and_isoformat_across_blocks(self, tmp_path_factory, blocks, pool, seed, zeros_at_edges,
+                                                      fractions):
+        block_rows, rows = blocks
+        rng = np.random.default_rng(seed)
+        # values drawn from a small pool, so that most recur in later blocks
+        values = rng.choice(_FLOAT_POOL[pool], size=(2, rows))
+        if zeros_at_edges:
+            for lo in range(block_rows, rows, block_rows):
+                values[:, lo - 1], values[:, lo] = (0.0, -0.0) if lo // block_rows % 2 else (-0.0, 0.0)
+        micros = rng.choice(_STAMP_EDGES, size=rows) + rng.integers(-3, 4, size=rows) * ingest.US_PER_S
+        if fractions:
+            micros += rng.choice([0, 1, 500_000, 999_999], size=rows)
+        path = tmp_path_factory.mktemp("writer") / "out.csv"
+        columns = [(isoformat_utc, micros), (ingest.FloatCells(), values[0]), (ingest.FloatCells(), values[1][::-1])]
+        with mock.patch.object(ingest, "_BLOCK_ROWS", block_rows):
+            write_columns(str(path), ["timestamp", "a", "b"], columns, "\n")
+
+        def cell(value: float) -> str:
+            return repr(value) if value == value else ""
+
+        expected = [
+            f"{(ingest._EPOCH + timedelta(microseconds=stamp)).isoformat()},{cell(a)},{cell(b)}"
+            for stamp, a, b in zip(micros.tolist(), values[0].tolist(), values[1][::-1].tolist())
+        ]
+        assert path.read_text().splitlines() == ["timestamp,a,b", *expected]
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3)])
+    def test_columns_of_unequal_length_raise(self, tmp_path, lengths):
+        path = tmp_path / "out.csv"
+        columns = [(format_floats, np.zeros(length)) for length in lengths]
+        with pytest.raises(ValueError, match=r"\[3, 2\]|\[2, 3\]"):
+            write_columns(str(path), ["a", "b"], columns, "\n")
+        assert not path.exists()
+
+
 class TestRecordTable:
     def test_equality_treats_empty_cells_alike(self):
         assert _table([_record(0, t_in=None)]) == _table([_record(0, t_in=None)])
