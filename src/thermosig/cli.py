@@ -1,9 +1,10 @@
 """Command line front end.
 
 Subcommands: simulate (write a synthetic dataset with its ground truth),
-fit (identify coefficients from a dataset), signature (decompose the
-load series under a given theta), and eval (compare raw and integrated
-fits against a known truth).
+fit (identify coefficients from a dataset's prefix-summed balance),
+signature (decompose the load series under a given theta), and eval
+(compare raw and integrated fits against a known truth). Every command
+writes into --out, the current directory by default.
 
 Exit codes: 0 success, 1 missing files or other IO failures, 2 bad
 configuration, 3 empty or degenerate inputs. Outputs are deterministic:
@@ -46,7 +47,6 @@ class RunConfig:
     grid: GridSpec = GridSpec()
     mode_filter: frozenset[HvacMode] = frozenset({HvacMode.REFRIGERATOR})
     scenario: Optional[Scenario] = None
-    out_dir: str = "."
     max_gap: int = 5
 
     def __post_init__(self):
@@ -146,15 +146,11 @@ def cmd_simulate(config: RunConfig, out_dir: str) -> None:
     print(f"wrote {dataset_path} ({len(series)} rows) and truth.json")
 
 
-def cmd_fit(config: RunConfig, dataset: str, out_dir: str, use_integrated: bool) -> FitResult:
-    """Fit the dataset and write fit.json plus the initial error surface."""
+def cmd_fit(config: RunConfig, dataset: str, out_dir: str) -> FitResult:
+    """Fit the dataset's prefix-summed system and write fit.json plus the
+    initial error surface."""
     series = _load_frames(config, dataset)
-    result = grid_fit(
-        _system(config, series),
-        grid=config.grid,
-        use_integrated=use_integrated,
-        threads=_thread_count(),
-    )
+    result = grid_fit(_system(config, series), grid=config.grid, use_integrated=True, threads=_thread_count())
     _ensure_out_dir(out_dir)
     _write_json(os.path.join(out_dir, "fit.json"), _fit_payload(result))
 
@@ -301,16 +297,10 @@ def _parser() -> argparse.ArgumentParser:
             p.add_argument("--dataset", required=True, help="input dataset CSV")
         if theta:
             p.add_argument("--theta", required=True, help=theta)
-        p.add_argument("--out", default=None, help="output directory (default: config out_dir or '.')")
+        p.add_argument("--out", default=".", help="output directory (default: '.')")
 
     common(sub.add_parser("simulate", help="generate a synthetic dataset with known truth"))
-    fit = sub.add_parser("fit", help="identify the coefficient triple from a dataset")
-    common(fit, dataset=True)
-    fit.add_argument(
-        "--raw",
-        action="store_true",
-        help="fit on the raw step balance instead of the prefix-summed one",
-    )
+    common(sub.add_parser("fit", help="identify the coefficient triple from a dataset"), dataset=True)
     common(
         sub.add_parser("signature", help="decompose the load series under a given theta"),
         dataset=True,
@@ -328,15 +318,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        out_dir = args.out or config.out_dir
         if args.command == "simulate":
-            cmd_simulate(config, out_dir)
+            cmd_simulate(config, args.out)
         elif args.command == "fit":
-            cmd_fit(config, args.dataset, out_dir, use_integrated=not args.raw)
+            cmd_fit(config, args.dataset, args.out)
         elif args.command == "signature":
-            cmd_signature(config, args.dataset, args.theta, out_dir)
+            cmd_signature(config, args.dataset, args.theta, args.out)
         elif args.command == "eval":
-            cmd_eval(config, args.dataset, args.theta, out_dir)
+            cmd_eval(config, args.dataset, args.theta, args.out)
         return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -86,8 +86,8 @@ US_PER_HOUR = 3600 * US_PER_S
 _BLOCK_ROWS = 4096
 # isoformat_utc's time of day and suffix; it writes each stamp's digits over the zeros
 _CLOCK_CODES = np.array(["T00:00:00+00:00"]).view(np.uint32)
-# days since the epoch of datetime's first and last dates
-_DATETIME_DAYS = ((datetime.min - datetime(1970, 1, 1)).days, (datetime.max - datetime(1970, 1, 1)).days)
+# microseconds since the epoch of datetime's first and last instants
+_DATETIME_MICROS = tuple((stamp - datetime(1970, 1, 1)) // _MICROSECOND for stamp in (datetime.min, datetime.max))
 
 
 @dataclass(frozen=True)
@@ -164,6 +164,7 @@ class RecordTable:
                 raise ValueError(f"column {name!r} has shape {column.shape}, expected {rows} rows in {dims} dimensions")
             column.setflags(write=False)
             object.__setattr__(self, name, column)
+        _require_datetime_years(self.timestamp.view(np.int64))
 
     def __len__(self) -> int:
         return len(self.timestamp)
@@ -264,19 +265,29 @@ def time_axis(start: datetime, step: float, count: int) -> np.ndarray:
     return _micros(start) + whole.astype(np.int64) * US_PER_S + np.rint(frac * 1e6).astype(np.int64)
 
 
+def _require_datetime_years(micros: np.ndarray) -> None:
+    """Raise ValueError naming the first instant, int64 microseconds since
+    the epoch, that lies outside datetime's years 1-9999: datetime cannot
+    read it back, and its year may not have four digits."""
+    outside = np.flatnonzero((micros < _DATETIME_MICROS[0]) | (micros > _DATETIME_MICROS[1]))
+    if outside.size:
+        stamp = np.datetime_as_string(micros[outside[0]].view("datetime64[us]"))
+        raise ValueError(f"timestamp {stamp} at index {outside[0]} lies outside datetime's years 1-9999")
+
+
 def isoformat_utc(micros: np.ndarray) -> list[str]:
     """datetime.isoformat() of each UTC instant, int64 microseconds since
     the epoch: a +00:00 suffix, and the fraction only where it is nonzero.
+    Raises ValueError naming the first instant outside datetime's years.
 
     A whole-second stamp is its day's text, made once for each distinct
-    day, followed by its time of day's digits. A stamp with a fraction, or
-    on a day outside datetime's years, is formatted on its own."""
+    day, followed by its time of day's digits. A stamp with a fraction is
+    formatted on its own."""
     micros = np.asarray(micros, dtype=np.int64)
+    _require_datetime_years(micros)
     days, clock = np.divmod(micros // US_PER_S, 86400)
     dates, date_index = np.unique(days, return_inverse=True)
-    held = (_DATETIME_DAYS[0] <= dates) & (dates <= _DATETIME_DAYS[1])
-    # a day datetime cannot hold may not be 10 characters; its stamps are formatted on their own
-    date_text = np.datetime_as_string(np.where(held, dates, 0).astype("datetime64[D]")).astype("U10")
+    date_text = np.datetime_as_string(dates.astype("datetime64[D]")).astype("U10")
     hours, rest = np.divmod(clock, 3600)
     tens, units = np.divmod(np.stack([hours, *np.divmod(rest, 60)], axis=1), 10)
     # one row of code points a stamp: "YYYY-MM-DD" then "THH:MM:SS+00:00"
@@ -286,23 +297,12 @@ def isoformat_utc(micros: np.ndarray) -> list[str]:
     codes[:, [11, 14, 17]] = tens + ord("0")
     codes[:, [12, 15, 18]] = units + ord("0")
     text = codes.view("U25").ravel()
-    own = np.flatnonzero((micros % US_PER_S != 0) | ~held[date_index])
-    if not own.size:
+    fractional = np.flatnonzero(micros % US_PER_S)
+    if not fractional.size:
         return text.tolist()
     text = text.astype(object)
-    text[own] = _isoformat_each(micros[own])
+    text[fractional] = np.datetime_as_string(micros[fractional].view("datetime64[us]")).astype(object) + "+00:00"
     return text.tolist()
-
-
-def _isoformat_each(micros: np.ndarray) -> np.ndarray:
-    """isoformat_utc of each instant, one numpy datetime string each, as an
-    object array."""
-    stamps = micros.view("datetime64[us]")
-    text = np.datetime_as_string(stamps, unit="s").astype(object)
-    fractional = np.flatnonzero(micros % US_PER_S)
-    if fractional.size:
-        text[fractional] = np.datetime_as_string(stamps[fractional], unit="us")
-    return text + "+00:00"
 
 
 def _timestamp_micros(cell: str) -> Optional[int]:
@@ -688,13 +688,9 @@ def parse_csv(path: str, schema: CsvSchema = CsvSchema()) -> RecordTable:
                          columns)
 
 
-def format_floats(values: np.ndarray) -> list[str]:
-    """repr of each float, and an empty cell where it is NaN."""
-    return FloatCells()(values)
-
-
 class FloatCells:
-    """format_floats for the blocks of one column, called on each in turn.
+    """repr of each float, and an empty cell where it is NaN, for the blocks
+    of one column, called on each in turn.
 
     Sensor readings repeat a few values, so each distinct bit pattern of a
     block is formatted once; bits, not float equality, keep -0.0 apart from

@@ -77,13 +77,6 @@ class TestFit:
         assert surface_lines[0] == "c_p,alpha,beta_ac,objective"
         assert len(surface_lines) == GRID["cells"] ** 2 + 1
 
-    def test_raw_flag_disables_integration(self, day_run):
-        out = day_run.root / "fit_raw"
-        code = main(["fit", "--config", day_run.config, "--dataset", day_run.dataset,
-                     "--raw", "--out", str(out)])
-        assert code == EXIT_OK
-        assert json.loads((out / "fit.json").read_text())["used_integration"] is False
-
     def test_outputs_are_byte_deterministic(self, day_run):
         outs = [day_run.root / "det_a", day_run.root / "det_b"]
         for out in outs:

@@ -2,6 +2,7 @@
 and frame assembly."""
 
 import math
+import re
 import time
 import tracemalloc
 import warnings
@@ -45,11 +46,11 @@ from thermosig.errors import (
 )
 from thermosig.ingest import (
     CHANNELS,
+    FloatCells,
     FrameSeries,
     _canonical_micros,
     _timestamp_micros,
     _tokenize,
-    format_floats,
     isoformat_utc,
     time_axis,
     write_columns,
@@ -508,7 +509,7 @@ class TestTokenizers:
                     outcomes.append(_outcome(str(path)))
             assert outcomes[0] == outcomes[1]
 
-    def test_plain_file_is_split_by_lines_and_commas(self):
+    def test_plain_file_reads_as_csv_records_with_their_line_numbers(self):
         header, blocks = _tokenize(PLAIN_HEADER + "\r\n2021-06-01T09:00:00Z,27,, 3,12,7,0.4,0,\r\n"
                                    "2021-06-01T09:01:00Z,28,1,33,12,7,0.4,0,5")
         (columns, numbers), = blocks
@@ -526,7 +527,7 @@ class TestTokenizers:
     # a stamp with a byte after it fills its field, and a longer cell is cut to fill it
     @example(["2021-06-01T09:00:00+00:00x", "021-06-01T09:00:00+00:00"])
     @example(["2021-06-01T09:00:00+00:00\n2021-06-01T09:01:00+00:00", "", "x" * 24])
-    def test_block_decoded_stamps_read_as_fromisoformat(self, cells):
+    def test_canonical_micros_match_fromisoformat(self, cells):
         def padded(column):
             # NUL-padded S26 byte fields, as the one-pass reader holds them; a
             # longer cell is cut to fill its field, which no timestamp does
@@ -676,7 +677,7 @@ class TestWriteRoundTrip:
         assert parse_csv(path) == table
 
 
-# values that repeat, kept as an array so that the NaN payloads reach format_floats
+# values that repeat, kept as an array so that the NaN payloads reach FloatCells
 _FLOAT_POOL = np.concatenate([
     # NaNs of both signs, quiet and signalling, with payloads
     np.array([0x7FF8000000000000, 0x7FF8000000000001, 0x7FF0000000000001, 0xFFF8000000000000, 0xFFF00000DEADBEEF],
@@ -697,11 +698,11 @@ class TestFormatFloats:
     def test_matches_repr_of_each_cell(self, size, pool, seed, strided):
         drawn = np.random.default_rng(seed).choice(_FLOAT_POOL[pool], size=size * (2 if strided else 1))
         values = drawn[::2] if strided else drawn
-        assert format_floats(values) == [repr(value) if value == value else "" for value in values.tolist()]
+        assert FloatCells()(values) == [repr(value) if value == value else "" for value in values.tolist()]
 
     def test_signed_zeros_and_nan_in_one_block(self, tmp_path):
         path = tmp_path / "out.csv"
-        write_columns(str(path), ["x"], [(format_floats, np.array([0.0, -0.0, math.nan, -0.0, 0.0]))], "\n")
+        write_columns(str(path), ["x"], [(FloatCells(), np.array([0.0, -0.0, math.nan, -0.0, 0.0]))], "\n")
         assert path.read_text().splitlines() == ["x", "0.0", "-0.0", "", "-0.0", "0.0"]
 
 
@@ -714,6 +715,10 @@ _STAMP_EDGES = np.array([ingest._micros(stamp) for stamp in (
     datetime(1, 1, 1, 0, 0, 3), datetime(9999, 12, 31, 23, 59, 56),
     datetime(2021, 10, 17, 13, 47, 29), datetime(1987, 3, 8, 20, 16, 35),
 )], dtype=np.int64)
+
+
+# instants outside datetime's years 1-9999, which no CSV reader reads back
+_OUT_OF_RANGE = ["10000-01-01T00:00", "0000-12-31T23:59:59.999999", "NaT"]
 
 
 class TestWriteColumns:
@@ -751,10 +756,20 @@ class TestWriteColumns:
         ]
         assert path.read_text().splitlines() == ["timestamp,a,b", *expected]
 
+    @pytest.mark.parametrize("stamp", _OUT_OF_RANGE)
+    def test_isoformat_rejects_instants_outside_datetimes_years(self, stamp):
+        micros = np.array([0, np.datetime64(stamp, "us").view(np.int64)])
+        with pytest.raises(ValueError, match=re.escape(f"{np.datetime64(stamp, 'us')} at index 1")):
+            isoformat_utc(micros)
+        edges = [datetime.min, datetime.max, datetime.max.replace(microsecond=0)]
+        assert isoformat_utc(np.array([ingest._micros(edge) for edge in edges])) == [
+            edge.replace(tzinfo=timezone.utc).isoformat() for edge in edges
+        ]
+
     @pytest.mark.parametrize("lengths", [(3, 2), (2, 3)])
     def test_columns_of_unequal_length_raise(self, tmp_path, lengths):
         path = tmp_path / "out.csv"
-        columns = [(format_floats, np.zeros(length)) for length in lengths]
+        columns = [(FloatCells(), np.zeros(length)) for length in lengths]
         with pytest.raises(ValueError, match=r"\[3, 2\]|\[2, 3\]"):
             write_columns(str(path), ["a", "b"], columns, "\n")
         assert not path.exists()
@@ -772,6 +787,15 @@ class TestRecordTable:
             RecordTable(**{**columns, "e_v": columns["e_v"][:1]})
         with pytest.raises(ValueError, match="'indoor'"):
             RecordTable(**{**columns, "indoor": columns["indoor"][:, 0]})
+
+    @pytest.mark.parametrize("stamp", _OUT_OF_RANGE)
+    def test_timestamps_outside_datetimes_years_rejected(self, stamp):
+        # write_records_csv would write such a stamp in a form parse_csv rejects
+        columns = vars(_table([_record(0), _record(1), _record(2)]))
+        timestamp = columns["timestamp"].copy()
+        timestamp[1] = np.datetime64(stamp, "us")
+        with pytest.raises(ValueError, match=re.escape(f"{np.datetime64(stamp, 'us')} at index 1")):
+            RecordTable(**{**columns, "timestamp": timestamp})
 
 
 class TestAverageChannels:
@@ -840,7 +864,7 @@ def _anchor_column(count: int, anchors: dict) -> np.ndarray:
     return column
 
 
-class TestInterpolatePassengers:
+class TestSpreadAnchors:
     """spread_anchors, the one spreader of the passengers anchor column."""
 
     def test_flat_hours_sum_exactly(self):
