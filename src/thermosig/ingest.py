@@ -14,18 +14,17 @@ write_records_csv writes a table back, column by column.
 
 parse_csv first reads a complete plain file in one np.loadtxt pass:
 every number an f8 field, the timestamp and anchor columns fixed-width
-byte fields, and each timestamp in isoformat_utc's whole-second form
-decoded from its digits, any other one on its own. The pass returns the
-table the block reader would, or declines the file, which the block
-reader then reads from its first byte and so names any fault. It
-declines a quote, NUL or bare carriage return, a line over csv's field
-limit, a header that is not one plain line, any np.loadtxt error (a
-ragged row, an empty or unreadable number, an undecodable byte), a byte
-field that fills its width, a timestamp neither decoder reads, and a
-non-finite number, a negative meter or anchor, or an anchor
-_float_column faults. Where the anchor column is last or absent, a byte
-scan declines an empty cell before np.loadtxt runs, so a file with gaps
-pays only the scan.
+byte fields. numpy's ISO 8601 parser reads the timestamps in
+isoformat_utc's whole-second form in one call, datetime.fromisoformat
+each other one. The pass returns the table the block reader would, or
+declines the file, which the block reader then reads from its first
+byte and so names any fault. It declines a quote or NUL, a line over
+csv's field limit, a header that is not one plain line, any np.loadtxt
+error (a ragged row, an empty or unreadable number, an undecodable
+byte), a byte field that fills its width, a timestamp that
+datetime.fromisoformat rejects, and a non-finite number, a negative
+meter or anchor, or an anchor _float_column faults. A file with a gap
+pays the pass up to its first empty number.
 
 The block reader, the reference the one-pass reader is checked against,
 reads every file that pass declines. It decodes the file once, and
@@ -53,6 +52,7 @@ from __future__ import annotations
 import csv
 import math
 import re
+import warnings
 from collections import Counter
 from dataclasses import dataclass, replace
 from datetime import datetime, timedelta, timezone
@@ -84,15 +84,16 @@ US_PER_HOUR = 3600 * US_PER_S
 # CSV rows formatted and written at a time: enough to amortize a write,
 # few enough that a block's strings stay a small share of memory
 _BLOCK_ROWS = 4096
-# isoformat_utc's time of day and suffix; it writes each stamp's digits over the zeros
-_CLOCK_CODES = np.array(["T00:00:00+00:00"]).view(np.uint32)
+# isoformat_utc's text of a whole-second instant: any digit where the form has a d
+_STAMP_FORM = np.frombuffer(b"dddd-dd-ddTdd:dd:dd+00:00", dtype=np.uint8)
+_STAMP_DIGITS = _STAMP_FORM == ord("d")
 # microseconds since the epoch of datetime's first and last instants
 _DATETIME_MICROS = tuple((stamp - datetime(1970, 1, 1)) // _MICROSECOND for stamp in (datetime.min, datetime.max))
 
 
 @dataclass(frozen=True)
 class CsvSchema:
-    """Column name map for dataset files. Override names to match a source."""
+    """Column name map for dataset files. Override names to match a source, a column to a key."""
 
     timestamp: str = "timestamp"
     indoor_prefix: str = "t_in_"
@@ -102,6 +103,19 @@ class CsvSchema:
     v_cool_w: str = "v_cool_w"
     e_v: str = "e_v"
     passengers: str = "passengers"
+
+    def __post_init__(self):
+        prefixes = ("indoor_prefix", "outdoor_prefix")
+        indoor, outdoor = self.indoor_prefix, self.outdoor_prefix
+        require(not (indoor.startswith(outdoor) or outdoor.startswith(indoor)), "indoor_prefix",
+                f"and outdoor_prefix must not start with one another, got {indoor!r} and {outdoor!r}")
+        readers = {}  # each plain name, and the key that names it
+        for key in ("timestamp", "t_water_in", "t_water_out", "v_cool_w", "e_v", "passengers"):
+            name = getattr(self, key)
+            # a header of the name alone, read for each prefix's channels
+            other = readers.get(name) or next((p for p in prefixes if _channel_columns([name], getattr(self, p))), None)
+            require(other is None, key, f"must not name a column that {other} reads, got {name!r}")
+            readers[name] = key
 
 
 @dataclass(frozen=True)
@@ -290,10 +304,10 @@ def isoformat_utc(micros: np.ndarray) -> list[str]:
     date_text = np.datetime_as_string(dates.astype("datetime64[D]")).astype("U10")
     hours, rest = np.divmod(clock, 3600)
     tens, units = np.divmod(np.stack([hours, *np.divmod(rest, 60)], axis=1), 10)
-    # one row of code points a stamp: "YYYY-MM-DD" then "THH:MM:SS+00:00"
-    codes = np.empty((len(micros), 25), dtype=np.uint32)
+    # one row of code points a stamp: its day's text, then the form with the clock's digits for its d's
+    codes = np.empty((len(micros), len(_STAMP_FORM)), dtype=np.uint32)
     codes[:, :10] = date_text.view(np.uint32).reshape(len(dates), 10)[date_index]
-    codes[:, 10:] = _CLOCK_CODES
+    codes[:, 10:] = _STAMP_FORM[10:]
     codes[:, [11, 14, 17]] = tens + ord("0")
     codes[:, [12, 15, 18]] = units + ord("0")
     text = codes.view("U25").ravel()
@@ -306,44 +320,37 @@ def isoformat_utc(micros: np.ndarray) -> list[str]:
 
 
 def _timestamp_micros(cell: str) -> Optional[int]:
-    """Microseconds since the epoch, in UTC, of an ISO 8601 cell; naive
+    """Microseconds since the epoch, in UTC, of an ISO 8601 cell as
+    datetime.fromisoformat reads it stripped, a Z suffix included; naive
     times read as UTC. None when the cell is not a timestamp."""
-    text = cell.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
     try:
-        return _micros(datetime.fromisoformat(text))
+        return _micros(datetime.fromisoformat(cell.strip()))
     except ValueError:
         return None
 
 
-# isoformat_utc's text of a whole-second instant: any digit where the form has a d
-_STAMP_FORM = np.frombuffer(b"dddd-dd-ddTdd:dd:dd+00:00", dtype=np.uint8)
-_STAMP_DIGITS = _STAMP_FORM == ord("d")
-
-
-def _canonical_micros(chars: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_micros(chars: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """(micros, found) for a timestamp column given as a (cells, width)
     byte matrix, each cell padded with NULs to the width of at least 25.
 
-    found marks the cells that are exactly isoformat_utc's text of a
-    whole-second instant, YYYY-MM-DDTHH:MM:SS+00:00 with a valid date and
-    time, which datetime.fromisoformat reads as that instant; micros holds
-    it there and 0 elsewhere.
+    found marks the cells in isoformat_utc's whole-second form,
+    YYYY-MM-DDTHH:MM:SS+00:00 with any digits; numpy's ISO 8601 parser
+    reads their first 19 bytes, and micros holds the instant there and 0
+    elsewhere. None where such a cell is no instant: numpy rejects it, or
+    its year is 0000, which numpy reads and datetime has not.
     """
     found = ~chars[:, len(_STAMP_FORM):].any(axis=1)
     chars = chars[:, :len(_STAMP_FORM)]
-    digits = chars - np.uint8(ord("0"))  # wraps around below "0"
-    found &= (digits[:, _STAMP_DIGITS] <= 9).all(axis=1)
+    found &= (chars[:, _STAMP_DIGITS] - np.uint8(ord("0")) <= 9).all(axis=1)  # wraps around below "0"
     found &= (chars[:, ~_STAMP_DIGITS] == _STAMP_FORM[~_STAMP_DIGITS]).all(axis=1)
-    year = digits[:, 0:4] @ np.array([1000, 100, 10, 1])
-    month, day, hour, minute, second = (digits[:, k:k + 2] @ np.array([10, 1]) for k in (5, 8, 11, 14, 17))
-    found &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1) & (hour < 24) & (minute < 60) & (second < 60)
-    months = np.where(found, (year - 1970) * 12 + month - 1, 0).astype("datetime64[M]")
-    first_day = months.astype("datetime64[D]").astype(np.int64)
-    found &= day <= (months + 1).astype("datetime64[D]").astype(np.int64) - first_day
-    seconds = (((first_day + day - 1) * 24 + hour) * 60 + minute) * 60 + second
-    return np.where(found, seconds * US_PER_S, 0), found
+    micros = np.zeros(len(chars), dtype=np.int64)
+    try:
+        seconds = np.ascontiguousarray(chars[found, :19]).view("S19").ravel().astype("datetime64[s]")
+        micros[found] = seconds.view(np.int64) * US_PER_S
+        _require_datetime_years(micros)  # numpy reads year 0000, which datetime has not
+    except ValueError:
+        return None
+    return micros, found
 
 
 def _utc(micros: int) -> datetime:
@@ -528,34 +535,14 @@ def _record_table(stamps: np.ndarray, values: dict[int, np.ndarray], columns: _C
 # it reads: isoformat_utc's whole-second stamp, and an anchor of 15 characters
 _STAMP_BYTES = len(_STAMP_FORM) + 1
 _ANCHOR_BYTES = 16
-# bytes of a file checked in one array operation by _plain_bytes
-_SCAN_BYTES = 1 << 16
-_LINE_CONTENT = re.compile(rb"[^\r\n]")
-
-
-def _plain_bytes(data: bytes, gaps: bool) -> bool:
-    """Whether data has no quote, NUL or bare carriage return, so that
-    each line ends at a line feed and csv.reader reads it as split at its
-    commas; with gaps set, also no empty cell but a line's last: no comma
-    after a comma or a line end."""
-    if b'"' in data or b"\0" in data or data.endswith(b"\r"):
-        return False
-    octets = np.frombuffer(data, dtype=np.uint8)
-    for lo in range(0, len(octets) - 1, _SCAN_BYTES):
-        pair = octets[lo:lo + _SCAN_BYTES + 1]
-        before, after = pair[:-1], pair[1:]
-        bad = (before == ord("\r")) & (after != ord("\n"))
-        if gaps:
-            bad |= (after == ord(",")) & ((before == ord(",")) | (before == ord("\n")))
-        if bad.any():
-            return False
-    return True
+# a file's first line, which ends at its first \r or \n, as for _LINE
+_FIRST_LINE = re.compile(rb"[^\r\n]*")
 
 
 def _lines_within(data: bytes, limit: int) -> bool:
-    """Whether no line of data is longer than limit bytes, its line end
-    not counted. Each step skips up to limit bytes to the last line end
-    among them."""
+    """Whether no run of data between line feeds is longer than limit
+    bytes. Each step skips up to limit bytes to the last line feed among
+    them."""
     start = 0
     while len(data) - start > limit:
         end = data.rfind(b"\n", start, start + limit + 1)
@@ -582,17 +569,14 @@ def _loadtxt_table(path: str, schema: CsvSchema) -> Optional[RecordTable]:
     """
     with io_errors(path), open(path, "rb") as handle:
         data = handle.read()
-    body = data.find(b"\n") + 1
-    # np.loadtxt warns on a file without rows
-    if not body or _LINE_CONTENT.search(data, body) is None:
-        return None
     try:
-        header = [name.strip() for name in data[:body].decode("utf-8-sig").rstrip("\r\n").split(",")]
+        header = [name.strip() for name in _FIRST_LINE.match(data).group().decode("utf-8-sig").split(",")]
         columns = _header_columns(header, schema)
     except (UnicodeDecodeError, MissingColumn, UnreadableRow):
         return None
-    if not (_lines_within(data, csv.field_size_limit())
-            and _plain_bytes(data, columns.passengers in (None, len(header) - 1))):
+    # np.loadtxt ends a line where csv.reader does, at \r\n, a bare \r or \n, and
+    # splits it at its commas as csv.reader does where no quote or NUL is
+    if b'"' in data or b"\0" in data or not _lines_within(data, csv.field_size_limit()):
         return None
     del data  # np.loadtxt reads the file itself
 
@@ -600,25 +584,24 @@ def _loadtxt_table(path: str, schema: CsvSchema) -> Optional[RecordTable]:
     number_cols = [*columns.indoor, *columns.outdoor, *columns.plant]
     kinds = {stamp_col: f"S{_STAMP_BYTES}", anchor_col: f"S{_ANCHOR_BYTES}", **dict.fromkeys(number_cols, "f8")}
     try:
-        with io_errors(path):
+        with io_errors(path), warnings.catch_warnings():
+            warnings.simplefilter("error", UserWarning)  # np.loadtxt warns on a file without rows
             table = np.loadtxt(path, dtype=[(f"c{col}", kinds.get(col, "S1")) for col in range(len(header))],
                                delimiter=",", comments=None, quotechar=None, encoding="utf-8-sig", skiprows=1, ndmin=1)
-    except ValueError:
+    except (ValueError, UserWarning):
         return None
 
     cells = _field_bytes(table, f"c{stamp_col}")
-    if cells[:, -1].any():
+    decoded = None if cells[:, -1].any() else _canonical_micros(cells)
+    if decoded is None:
         return None
-    stamps = np.empty(len(table), dtype=np.int64)
-    for lo in range(0, len(table), _BLOCK_ROWS):
-        micros, found = _canonical_micros(cells[lo:lo + _BLOCK_ROWS])
-        for i in np.flatnonzero(~found).tolist():
-            # np.loadtxt stores a byte field's text as latin-1
-            value = _timestamp_micros(table[f"c{stamp_col}"][lo + i].decode("latin-1"))
-            if value is None:
-                return None
-            micros[i] = value
-        stamps[lo:lo + _BLOCK_ROWS] = micros
+    stamps, found = decoded
+    for i in np.flatnonzero(~found).tolist():
+        # np.loadtxt stores a byte field's text as latin-1
+        value = _timestamp_micros(table[f"c{stamp_col}"][i].decode("latin-1"))
+        if value is None:
+            return None
+        stamps[i] = value
 
     values = {col: table[f"c{col}"] for col in number_cols}
     if not all(np.isfinite(column).all() for column in values.values()):

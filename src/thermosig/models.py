@@ -20,6 +20,10 @@ import numpy as np
 from .core import HvacMode, StationConstants, Theta
 from .ingest import FrameSeries
 
+# the modes that run each supply path: the fan, and the chiller's water loop
+VENT_MODES = frozenset({HvacMode.NEW_AIR, HvacMode.MIXED})
+WATER_MODES = frozenset({HvacMode.REFRIGERATOR, HvacMode.MIXED})
+
 
 def fan_airflow(e_v, beta_v: float):
     """Airflow moved by the ventilator from its energy draw.
@@ -72,8 +76,8 @@ def supply(
     emitted as-is with a diagnostic warning since clamping would hide an
     inconsistent mode label.
     """
-    vent = np.isin(series.mode, (HvacMode.NEW_AIR, HvacMode.MIXED))
-    water = np.isin(series.mode, (HvacMode.REFRIGERATOR, HvacMode.MIXED))
+    vent = np.isin(series.mode, tuple(VENT_MODES))
+    water = np.isin(series.mode, tuple(WATER_MODES))
     new_air = np.where(vent, new_air_supply(series.e_v, series.t_in, series.t_out, constants), 0.0)
     if (new_air < 0).any():
         warnings.warn(

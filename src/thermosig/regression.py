@@ -5,7 +5,9 @@ The model per frame is the step energy balance,
 whose rows are the terms of `models` at unit coefficients: a1 = n *
 (t_p - t_in) and a2 = t_out - t_in from load_terms, a3 = (t_water_in -
 t_water_out) * v_cool_w from refrigerator_supply, and b = c * m_z *
-delta from balance_target.
+delta from balance_target. As in models.supply, a3 is 0 where a frame's
+mode leaves the water loop off, and b adds new_air_supply where it runs
+the fan.
 
 The fit minimizes the relative L1 error
     sum |a1 c_p + a2 alpha - a3 beta_ac - b| / sum (a1 c_p + a2 alpha)
@@ -60,7 +62,7 @@ from .errors import (
     NonPositiveDenominator,
 )
 from .ingest import FrameSeries
-from .models import balance_target, load_terms, refrigerator_supply
+from .models import VENT_MODES, WATER_MODES, balance_target, load_terms, new_air_supply, refrigerator_supply
 
 _BATCH_ELEMENTS = 1 << 16
 # the bracketed weighted median: sample rows, the ladder of bracket spans
@@ -187,7 +189,8 @@ def assemble(
 
     The rows are the balance's terms at unit coefficients, (l_passenger,
     l_environment, refrigerator supply) for c_p = alpha = beta_ac = 1,
-    and the targets the balance target. Only frames that carry a delta
+    and the targets the balance target, each frame's supply taken per
+    its mode as models.supply takes it. Only frames that carry a delta
     participate. Raises EmptySystem when the filter leaves nothing.
     """
     keep = np.flatnonzero(np.isin(series.mode[:-1], tuple(mode_filter)))
@@ -195,7 +198,14 @@ def assemble(
         raise EmptySystem()
     a1, a2 = load_terms(1.0, 1.0, series.n[keep], series.t_in[keep], series.t_out[keep], constants.t_p)
     a3 = refrigerator_supply(1.0, series.t_water_in[keep], series.t_water_out[keep], series.v_cool_w[keep])
-    return RegressionSystem(rows=np.column_stack([a1, a2, a3]), targets=balance_target(series, constants)[keep])
+    targets = balance_target(series, constants)[keep]
+    # the default filter's refrigerator frames need neither step
+    if not mode_filter <= WATER_MODES:
+        a3 = np.where(np.isin(series.mode[keep], tuple(WATER_MODES)), a3, 0.0)
+    if mode_filter & VENT_MODES:
+        new_air = new_air_supply(series.e_v[keep], series.t_in[keep], series.t_out[keep], constants)
+        targets = targets + np.where(np.isin(series.mode[keep], tuple(VENT_MODES)), new_air, 0.0)
+    return RegressionSystem(rows=np.column_stack([a1, a2, a3]), targets=targets)
 
 
 def integrate(system: RegressionSystem) -> RegressionSystem:

@@ -300,6 +300,9 @@ class TestExitCodes:
             ("scenario.passengers.morning_peak_hour", 1e300),
             ("scenario.passengers.evening_peak_hour", 1e300),
             ("scenario.passengers.peak_width_hours", 1e300),
+            # one column read under two keys: the flow as e_v, the outdoor sensors as indoor
+            ("schema.e_v", "v_cool_w"),
+            ("schema.indoor_prefix", "t_out_"),
         ],
     )
     def test_bad_config_value(self, key, value, tmp_path, capsys):

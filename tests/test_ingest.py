@@ -29,6 +29,7 @@ from thermosig import (
     write_records_csv,
 )
 from thermosig import ingest
+from thermosig.core import FieldError
 from thermosig.errors import (
     BadNumber,
     BadTimestamp,
@@ -46,6 +47,7 @@ from thermosig.errors import (
 )
 from thermosig.ingest import (
     CHANNELS,
+    CsvSchema,
     FloatCells,
     FrameSeries,
     _canonical_micros,
@@ -103,6 +105,29 @@ def _written_table(rows: int = 10 * 4096) -> RecordTable:
         e_v=np.zeros(rows),
         passengers=np.where(np.arange(rows) % 60 == 0, rng.integers(0, 900, rows), np.nan),
     )
+
+
+class TestCsvSchema:
+    @pytest.mark.parametrize("overrides, field, other", [
+        # the flow column read as e_v too
+        ({"e_v": "v_cool_w"}, "e_v", "v_cool_w"),
+        ({"passengers": "timestamp"}, "passengers", "timestamp"),
+        # a plain column read as a channel too
+        ({"passengers": "t_in_3"}, "passengers", "indoor_prefix"),
+        ({"timestamp": "t_out_07"}, "timestamp", "outdoor_prefix"),
+        # the outdoor sensors read as indoor ones
+        ({"indoor_prefix": "t_out_"}, "indoor_prefix", "outdoor_prefix"),
+        ({"outdoor_prefix": "t_in_"}, "indoor_prefix", "outdoor_prefix"),
+        ({"indoor_prefix": "t_"}, "indoor_prefix", "outdoor_prefix"),
+    ])
+    def test_a_column_read_twice_is_rejected_at_its_key(self, overrides, field, other):
+        with pytest.raises(FieldError, match=f"^{field} .*{other}") as err:
+            CsvSchema(**overrides)
+        assert err.value.field == field
+
+    def test_distinct_names_pass(self):
+        schema = CsvSchema(timestamp="time", indoor_prefix="in_", outdoor_prefix="out_", passengers="riders_1")
+        assert schema.passengers == "riders_1"
 
 
 class TestParseCsv:
@@ -533,15 +558,26 @@ class TestTokenizers:
             # longer cell is cut to fill its field, which no timestamp does
             return np.array([cell.encode() for cell in column], dtype="S26").view(np.uint8).reshape(-1, 26)
 
-        micros, found = _canonical_micros(padded(cells))
-        for cell, value, hit in zip(cells, micros.tolist(), found.tolist()):
-            if hit:
-                assert value == _timestamp_micros(cell)
-                assert isoformat_utc(np.array([value])) == [cell]
+        def of_the_form(cell):
+            return re.fullmatch(r"[0-9]{4}-[0-9]{2}-[0-9]{2}T[0-9]{2}:[0-9]{2}:[0-9]{2}\+00:00", cell) is not None
+
+        decoded = _canonical_micros(padded(cells))
+        if decoded is None:
+            # a column is declined only for a cell of the form that fromisoformat rejects
+            assert any(of_the_form(cell) and _timestamp_micros(cell) is None for cell in cells)
+        else:
+            micros, found = decoded
+            for cell, value, hit in zip(cells, micros.tolist(), found.tolist()):
+                assert hit or not of_the_form(cell)
+                if hit:
+                    assert value == _timestamp_micros(cell)
+                    assert isoformat_utc(np.array([value])) == [cell]
         # a column in the written form is decoded whole
         written = [cell for cell in cells if len(cell) == 25 and _timestamp_micros(cell) is not None
                    and isoformat_utc(np.array([_timestamp_micros(cell)])) == [cell]]
-        micros, found = _canonical_micros(padded(written))
+        decoded = _canonical_micros(padded(written))
+        assert decoded is not None
+        micros, found = decoded
         assert found.all()
         assert micros.tolist() == [_timestamp_micros(cell) for cell in written]
 
@@ -596,12 +632,12 @@ class TestOnePassReader:
     @example(True, (PLAIN_HEADER, [WRITTEN_ROW + "\n"]))  # a byte order mark
     @example(False, (PLAIN_HEADER, []))  # a header-only file
     @example(False, (PLAIN_HEADER, ["\n", "\n"]))
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\r", WRITTEN_ROW + "\r"]))  # bare carriage returns
     # each file below is declined, or read with a stamp on its own
     @example(False, (PLAIN_HEADER, ['2021-06-01T09:00:00+00:00,"27",27,33,12,7,0.4,0,\n']))  # a quote
     @example(False, (PLAIN_HEADER + ",note", [WRITTEN_ROW + ',"\n', WRITTEN_ROW + ',"\n']))  # one quoted record
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "2\x007") + "\n"]))  # NULs
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "5\x00\n"]))
-    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\r", WRITTEN_ROW + "\r"]))  # bare carriage returns
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("27.5", "0." + "0" * 131072 + "1") + "\n"]))  # over-long
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\n", WRITTEN_ROW[:-3] + "\n"]))  # ragged rows
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW + ",\n"]))
@@ -623,6 +659,10 @@ class TestOnePassReader:
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("+00:00", "Z") + "\n"]))  # stamps read one by one
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("09:00:00+00:00", "17:00:00+08:00") + "\n"]))
     @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("2021", "2021-13", 1) + "\n"]))  # a bad stamp
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\n", "0000-01-01T00:00:00+00:00" + WRITTEN_ROW[25:] + "\n"]))  # year 0000
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW.replace("2021-06-01", "2023-02-29", 1) + "\n"]))  # no such day
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\n"] * 3 + [WRITTEN_ROW.replace("27.5", "") + "\n"]))  # a last-row gap
+    @example(False, (PLAIN_HEADER, [WRITTEN_ROW + "\n", WRITTEN_ROW[25:] + "\n"]))  # an empty stamp
     @example(False, (PLAIN_HEADER.replace("t_in_2", "t_in_1"), [WRITTEN_ROW + "\n"]))  # a bad header
     @example(False, (PLAIN_HEADER.replace("e_v", "e_w"), [WRITTEN_ROW + "\n"]))
     def test_one_pass_reads_as_the_block_reader(self, tmp_path_factory, bom, file):
@@ -637,13 +677,15 @@ class TestOnePassReader:
                 with mock.patch.object(ingest, "_loadtxt_table", return_value=None):
                     assert _outcome(str(path)) == one_pass
 
-    @pytest.mark.parametrize("row", [WRITTEN_ROW.replace("27.5", ""), "," + WRITTEN_ROW[25:]], ids=["number", "stamp"])
-    def test_a_gap_is_declined_before_loadtxt(self, tmp_path, row):
-        path = tmp_path / "gap.csv"
-        path.write_text(PLAIN_HEADER + "\n" + WRITTEN_ROW + "\n" + row + "\n")
-        with mock.patch.object(np, "loadtxt", wraps=np.loadtxt) as loadtxt:
-            assert ingest._loadtxt_table(str(path), ingest.CsvSchema()) is None
-        loadtxt.assert_not_called()
+    @pytest.mark.parametrize("end", ["\r", "\r\n", "\n"], ids=["cr", "crlf", "lf"])
+    def test_lines_end_where_csv_reader_ends_them(self, tmp_path, end):
+        path = tmp_path / "data.csv"
+        rows = [PLAIN_HEADER, WRITTEN_ROW, WRITTEN_ROW.replace("09:00", "09:01") + "5"]
+        path.write_bytes((end.join(rows) + end).encode())
+        one_pass = ingest._loadtxt_table(str(path), ingest.CsvSchema())
+        assert one_pass is not None and len(one_pass) == 2
+        with mock.patch.object(ingest, "_loadtxt_table", return_value=None):
+            assert parse_csv(str(path)) == one_pass
 
 
 class TestWriteRoundTrip:

@@ -19,7 +19,9 @@ from thermosig import (
     GridSpec,
     HvacMode,
     NoiseModel,
+    OutdoorProfile,
     RegressionSystem,
+    Scenario,
     StationConstants,
     Theta,
     assemble,
@@ -36,7 +38,7 @@ from thermosig.errors import (
     NoFeasiblePoint,
     NonPositiveDenominator,
 )
-from thermosig.models import load_terms, refrigerator_supply
+from thermosig.models import load_terms, new_air_supply, refrigerator_supply
 
 
 def _series(*frames):
@@ -111,10 +113,24 @@ class TestAssemble:
         constants = StationConstants(c=1.21, m_z=12000.0)
         system = assemble(series, constants, frozenset(modes))
         kept = np.isin(series.mode[:-1], modes)
+        # each path's supply where the frame's mode runs it, as models.supply gives it
+        vent = np.isin(series.mode, (HvacMode.NEW_AIR, HvacMode.MIXED))
+        water = np.isin(series.mode, (HvacMode.REFRIGERATOR, HvacMode.MIXED))
         a1, a2 = load_terms(1.0, 1.0, series.n, series.t_in, series.t_out, constants.t_p)
-        a3 = refrigerator_supply(1.0, series.t_water_in, series.t_water_out, series.v_cool_w)
+        a3 = np.where(water, refrigerator_supply(1.0, series.t_water_in, series.t_water_out, series.v_cool_w), 0.0)
+        new_air = np.where(vent, new_air_supply(series.e_v, series.t_in, series.t_out, constants), 0.0)
         assert system.rows.tobytes() == np.column_stack([a1, a2, a3])[:-1][kept].tobytes()
-        assert system.targets.tobytes() == balance_target(series, constants)[kept].tobytes()
+        assert system.targets.tobytes() == (balance_target(series, constants) + new_air[:-1])[kept].tobytes()
+
+    @pytest.mark.parametrize("modes", [tuple(HvacMode), (HvacMode.NEW_AIR,)], ids=["all", "new_air"])
+    def test_the_truth_balances_every_kept_frame_of_a_noiseless_run(self, modes):
+        # at 20 degC the plant runs 1056 refrigerator, 986 new-air and 2279 off frames
+        scenario = Scenario(outdoor=OutdoorProfile(mean=20.0), seed=501)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            series, _ = simulate(scenario)
+        system = assemble(series, scenario.constants, frozenset(modes))
+        assert objective(scenario.theta_true, system) < 1e-12
 
 
 class TestRegressionSystem:
