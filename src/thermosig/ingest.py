@@ -540,12 +540,12 @@ _FIRST_LINE = re.compile(rb"[^\r\n]*")
 
 
 def _lines_within(data: bytes, limit: int) -> bool:
-    """Whether no run of data between line feeds is longer than limit
-    bytes. Each step skips up to limit bytes to the last line feed among
-    them."""
+    """Whether no line of data, ended at \\r or \\n as for _LINE, is longer
+    than limit bytes. Each step skips up to limit bytes to the last line
+    end among them."""
     start = 0
     while len(data) - start > limit:
-        end = data.rfind(b"\n", start, start + limit + 1)
+        end = max(data.rfind(b"\n", start, start + limit + 1), data.rfind(b"\r", start, start + limit + 1))
         if end < 0:
             return False
         start = end + 1

@@ -29,6 +29,17 @@ Rivest): a narrow bracket first, wider ones for the cells it cannot
 decide, and the full sort for the cells that no bracket decides or where
 rounding could tell the two apart, so every beta is the full sort's.
 
+A batch's element-wise steps broadcast one row of the system against
+every cell. numpy runs such a step through its ufunc buffer, 8192
+elements by default, and once that buffer holds two or more rows it
+copies rows into it instead of running its vector loop along each row:
+on 3066-row batches the bracket compares took about three times as
+long (2-CPU Xeon, numpy 2.4.6).
+So each worker caps the buffer at _BUFSIZE elements, which holds two
+rows only of systems of at most _BUFSIZE / 2 rows (such short systems
+took the copying path at the default too), and restores the caller's
+setting when its batches are done. The buffer changes no result.
+
 The initial pass evaluates every cell: it is the error surface. A
 refinement pass only has to find its winner, so it runs best-first. Each
 evaluated cell also yields a dual certificate: signs s in [-1, 1] with
@@ -65,6 +76,9 @@ from .ingest import FrameSeries
 from .models import VENT_MODES, WATER_MODES, balance_target, load_terms, new_air_supply, refrigerator_supply
 
 _BATCH_ELEMENTS = 1 << 16
+# numpy's ufunc buffer inside the kernel's workers, in elements: a multiple
+# of 16, and under two batch rows of any system over 256 rows
+_BUFSIZE = 512
 # the bracketed weighted median: sample rows, the ladder of bracket spans
 # in sample ranks either side of the sample's middle, tried narrowest first,
 # and the rounding margin in units of n_kept * eps * half
@@ -281,6 +295,10 @@ class _CellSolver:
     each float64 working array (512 KiB) fits in a core's L2 cache. Up to
     `threads` workers, one a batch at most, each take every workers-th
     batch and reuse one set of working arrays, allocated on first use.
+    Each worker runs its batches with numpy's ufunc buffer at _BUFSIZE
+    elements, so that a row-broadcast step loops along each row rather
+    than copying rows into the buffer (see the module docstring), and
+    restores its thread's previous setting on return or raise.
     The batch size follows from the row count alone, and every cell is
     reduced along its own row, so the results are bit-identical for any
     batch size, any `threads` and any set of cells evaluated together.
@@ -344,23 +362,28 @@ class _CellSolver:
                     np.empty((2, self.batch * self.n_kept), dtype=bool),
                 )
             wide, narrow, flags = self.buffers[slot]
-            for lo in starts:
-                hi = min(lo + self.batch, n_cells)
-                cells = hi - lo
-                residual, scratch = (buf[: cells * self.n_rows].reshape(cells, self.n_rows) for buf in wide)
-                np.multiply(c_p[lo:hi, None], self.a1, out=residual)
-                residual += np.multiply(alpha[lo:hi, None], self.a2, out=scratch)
-                residual -= self.targets
-                if self.n_kept:
-                    ratios = wide[1, : cells * self.n_kept].reshape(cells, self.n_kept)
-                    np.divide(residual[:, self.kept], self.a3_kept, out=ratios)
-                    beta[lo:hi] = np.maximum(self._bracketed_median(ratios, narrow, flags), 0.0)
-                residual -= np.multiply(beta[lo:hi, None], self.a3, out=scratch)
-                if certify:
-                    np.sign(residual, out=scratch)
-                numerator[lo:hi] = np.abs(residual, out=residual).sum(axis=1)
-                if certify:
-                    planes[lo:hi] = self._certificates(beta[lo:hi], scratch, residual, narrow[0])
+            # the setting is the calling thread's (a context variable in numpy 2)
+            previous = np.setbufsize(_BUFSIZE)
+            try:
+                for lo in starts:
+                    hi = min(lo + self.batch, n_cells)
+                    cells = hi - lo
+                    residual, scratch = (buf[: cells * self.n_rows].reshape(cells, self.n_rows) for buf in wide)
+                    np.multiply(c_p[lo:hi, None], self.a1, out=residual)
+                    residual += np.multiply(alpha[lo:hi, None], self.a2, out=scratch)
+                    residual -= self.targets
+                    if self.n_kept:
+                        ratios = wide[1, : cells * self.n_kept].reshape(cells, self.n_kept)
+                        np.divide(residual[:, self.kept], self.a3_kept, out=ratios)
+                        beta[lo:hi] = np.maximum(self._bracketed_median(ratios, narrow, flags), 0.0)
+                    residual -= np.multiply(beta[lo:hi, None], self.a3, out=scratch)
+                    if certify:
+                        np.sign(residual, out=scratch)
+                    numerator[lo:hi] = np.abs(residual, out=residual).sum(axis=1)
+                    if certify:
+                        planes[lo:hi] = self._certificates(beta[lo:hi], scratch, residual, narrow[0])
+            finally:
+                np.setbufsize(previous)
 
         batches = range(0, n_cells, self.batch)
         workers = min(self.threads, len(batches))

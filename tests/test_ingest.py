@@ -1,6 +1,7 @@
 """CSV parsing, gap filling, passenger spreading, mode classing,
 and frame assembly."""
 
+import csv
 import math
 import re
 import time
@@ -686,6 +687,28 @@ class TestOnePassReader:
         assert one_pass is not None and len(one_pass) == 2
         with mock.patch.object(ingest, "_loadtxt_table", return_value=None):
             assert parse_csv(str(path)) == one_pass
+
+    # csv.reader's field size limit bounds each line of a file, not the file
+    @pytest.mark.parametrize("end", ["\r", "\r\n", "\n"], ids=["cr", "crlf", "lf"])
+    def test_a_file_over_the_field_limit_reads_one_pass(self, tmp_path, end):
+        path = tmp_path / "data.csv"
+        rows = [_ts(minute).isoformat() + WRITTEN_ROW[25:] for minute in range(3000)]
+        path.write_bytes((end.join([PLAIN_HEADER, *rows]) + end).encode())
+        assert path.stat().st_size > csv.field_size_limit()
+        one_pass = ingest._loadtxt_table(str(path), ingest.CsvSchema())
+        assert one_pass is not None and len(one_pass) == 3000
+        with mock.patch.object(ingest, "_loadtxt_table", return_value=None):
+            assert parse_csv(str(path)) == one_pass
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n", "\n"], ids=["cr", "crlf", "lf"])
+    def test_a_line_over_the_field_limit_is_declined(self, tmp_path, end):
+        path = tmp_path / "data.csv"
+        rows = [_ts(minute).isoformat() + WRITTEN_ROW[25:] + "," for minute in range(3000)]
+        # the unread note fills the limit, so the line is a byte over it
+        rows[-1] += "x" * csv.field_size_limit()
+        path.write_bytes((end.join([PLAIN_HEADER + ",note", *rows]) + end).encode())
+        assert ingest._loadtxt_table(str(path), ingest.CsvSchema()) is None
+        assert len(parse_csv(str(path))) == 3000
 
 
 class TestWriteRoundTrip:

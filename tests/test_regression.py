@@ -3,6 +3,7 @@ solve, the grid search and its pruned refinement passes."""
 
 import tracemalloc
 import warnings
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from datetime import datetime, timezone
@@ -664,6 +665,74 @@ class TestPrunedRefinement:
         grid = GridSpec(c_p_max=100.0, alpha_max=100.0, cells=cells, spacing=spacing, refinement_passes=passes)
         with mock.patch.object(regression, "_BATCH_ELEMENTS", n_rows * cells_a_batch):
             _assert_fit_is_exhaustive(system, grid, integrated)
+
+
+@contextmanager
+def _bufsize(size):
+    """numpy's ufunc buffer at size in this thread, then back."""
+    previous = np.setbufsize(size)
+    try:
+        yield
+    finally:
+        np.setbufsize(previous)
+
+
+class TestUfuncBuffer:
+    """The kernel's workers run on a ufunc buffer below a batch row, where
+    numpy does not copy rows into it, and hand the caller's setting back."""
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_workers_run_below_a_batch_row(self, criterion_3_systems, threads, monkeypatch):
+        system = criterion_3_systems[0]
+        assert regression._BUFSIZE % 16 == 0 and regression._BUFSIZE < len(system)
+        seen = []
+        bracketed = regression._CellSolver._bracketed_median
+
+        def spy(solver, *args):
+            seen.append(np.getbufsize())
+            return bracketed(solver, *args)
+
+        monkeypatch.setattr(regression._CellSolver, "_bracketed_median", spy)
+        solver = regression._CellSolver(system.c_rows, system.d_targets, threads)
+        # 21 cells a batch at 3066 rows: four batches, so two threads both run
+        solver(np.full(84, 100.0), np.full(84, 50.0))
+        assert len(seen) == 4 and set(seen) == {regression._BUFSIZE}
+        assert len(solver.buffers) == threads
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_the_callers_setting_survives_a_return_and_a_raise(self, criterion_3_systems, threads, monkeypatch):
+        system, grid = criterion_3_systems[0], GridSpec(cells=20, refinement_passes=1)
+        with _bufsize(65536):
+            grid_fit(system, grid=grid, use_integrated=True, threads=threads)
+            assert np.getbufsize() == 65536
+            with pytest.raises(NoFeasiblePoint):
+                grid_fit(_system([[-1.0, -1.0, 1.0]], [0.0]), grid=GridSpec(cells=8), threads=threads)
+            assert np.getbufsize() == 65536
+            # a raise inside the batch loop
+            monkeypatch.setattr(regression._CellSolver, "_bracketed_median", mock.Mock(side_effect=ZeroDivisionError))
+            with pytest.raises(ZeroDivisionError):
+                grid_fit(system, grid=grid, use_integrated=True, threads=threads)
+            assert np.getbufsize() == 65536
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_no_setting_changes_a_bit(self, criterion_3_systems, threads, monkeypatch):
+        system, grid = criterion_3_systems[0], TestPrunedRefinement.CRITERION_3_GRID
+        c_p, alpha, _ = regression._pass_cells(grid.c_p_axis(), grid.alpha_axis(), (1.0, 1.0))
+
+        def outcome():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fit = grid_fit(system, grid=grid, use_integrated=True, threads=threads)
+            beta, numerator, _ = regression._CellSolver(system.c_rows, system.d_targets, threads)(c_p, alpha)
+            return fit, fit.surface.tobytes(), beta.tobytes(), numerator.tobytes()
+
+        reference = outcome()
+        for size in (16, 8192, 65536):
+            with _bufsize(size):
+                assert outcome() == reference
+        # numpy's default buffer in the workers, the buffered path
+        monkeypatch.setattr(regression, "_BUFSIZE", 8192)
+        assert outcome() == reference
 
 
 class TestCertificates:
