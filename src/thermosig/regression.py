@@ -27,7 +27,9 @@ batch the weighted median sorts only the rows that a weighted sample
 brackets around the half-weight split (the sample select of Floyd and
 Rivest): a narrow bracket first, wider ones for the cells it cannot
 decide, and the full sort for the cells that no bracket decides or where
-rounding could tell the two apart, so every beta is the full sort's.
+rounding could tell the two apart, so every beta is the full sort's. How
+narrow the first bracket is, is measured on each system's first cells:
+prefix-summed rows bracket their median far more tightly than raw ones.
 
 A batch's element-wise steps broadcast one row of the system against
 every cell. numpy runs such a step through its ufunc buffer, 8192
@@ -57,6 +59,7 @@ the exhaustive pass's, byte for byte.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -80,10 +83,14 @@ _BATCH_ELEMENTS = 1 << 16
 # of 16, and under two batch rows of any system over 256 rows
 _BUFSIZE = 512
 # the bracketed weighted median: sample rows, the ladder of bracket spans
-# in sample ranks either side of the sample's middle, tried narrowest first,
-# and the rounding margin in units of n_kept * eps * half
+# in sample ranks either side of the sample's middle, tried narrowest first
+# from a start rung that each solver measures on its first cells, the
+# fewest cells it measures, a rung's cost per cell beside its span (see
+# _start_rung), and the rounding margin in units of n_kept * eps * half
 _SAMPLE_ROWS = 512
-_SPANS = (12, 24, 64)
+_SPANS = (4, 12, 24, 64)
+_CALIBRATION_CELLS = 16
+_RUNG_COST = 40
 _MARGIN_ULPS = 8
 # a refinement pass first evaluates every 16th cell per axis, and the last
 _COARSE_STRIDE = 16
@@ -133,9 +140,10 @@ class GridSpec:
     """Search grid over (c_p, alpha).
 
     Axes hold `cells` points each, log spaced by default. Unset minima
-    default to max/cells for linear spacing and max * 1e-4 for log.
-    Each refinement pass re-grids the two-cell neighborhood of the
-    incumbent at full resolution.
+    default to max/cells for linear spacing and max * 1e-4 for log; a
+    maximum so small that its default minimum underflows to 0 is
+    rejected. Each refinement pass re-grids the two-cell neighborhood of
+    the incumbent at full resolution.
     """
 
     c_p_max: float = 1000.0
@@ -154,19 +162,27 @@ class GridSpec:
             value = getattr(self, name)
             # a NaN or infinite maximum puts NaN into its axis
             require(math.isfinite(value) and value > 0, name, f"must be finite and positive, got {value}")
-        for name, low, high in (("c_p_min", self.c_p_min, self.c_p_max), ("alpha_min", self.alpha_min, self.alpha_max)):
-            require(low is None or 0 < low <= high, name, f"must be positive and at most the maximum, got {low}")
+        for name, low, high in (("c_p", self.c_p_min, self.c_p_max), ("alpha", self.alpha_min, self.alpha_max)):
+            require(
+                low is None or 0 < low <= high, f"{name}_min", f"must be positive and at most the maximum, got {low}"
+            )
+            # a minimum of 0 puts an infeasible 0 on a linear axis and stops geomspace
+            require(
+                self.cells == 1 or self._minimum(low, high) > 0,
+                f"{name}_max",
+                f"is too small: its default minimum underflows to 0, got {high}",
+            )
+
+    def _minimum(self, low: Optional[float], high: float) -> float:
+        if low is not None:
+            return low
+        return high / self.cells if self.spacing == "linear" else high * 1e-4
 
     def _axis(self, low: Optional[float], high: float) -> np.ndarray:
         if self.cells == 1:
             return np.array([high])
-        if self.spacing == "linear":
-            if low is None:
-                low = high / self.cells
-            return np.linspace(low, high, self.cells)
-        if low is None:
-            low = high * 1e-4
-        return np.geomspace(low, high, self.cells)
+        space = np.linspace if self.spacing == "linear" else np.geomspace
+        return space(self._minimum(low, high), high, self.cells)
 
     def c_p_axis(self) -> np.ndarray:
         return self._axis(self.c_p_min, self.c_p_max)
@@ -266,6 +282,34 @@ def _sorted_median(ratios: np.ndarray, weights: np.ndarray, half_weight: float) 
     return ratios[cell, order[cell, pick]]
 
 
+def _rank_distances(sample: np.ndarray, picks: np.ndarray) -> np.ndarray:
+    """Per cell, the narrowest span d whose bracket, from sample rank m - d
+    to m + d about the middle m of the sorted sample, holds the pick."""
+    middle = _SAMPLE_ROWS // 2
+    above = (sample < picks[:, None]).sum(axis=1) - middle
+    below = middle + 1 - (sample <= picks[:, None]).sum(axis=1)
+    return np.maximum(np.maximum(above, below), 0)
+
+
+def _start_rung(distances: np.ndarray) -> int:
+    """The rung of _SPANS to start at with the least expected ladder cost.
+
+    A rung costs a cell about _RUNG_COST + its span: the masks and the
+    weight below cost the same at every rung, the compaction, sort and
+    pick grow with the bracket (fitted to grid fits at each forced start
+    on 3-day systems). A cell tries each rung from the start one on until
+    one holds its pick, so a start rung costs its own cost plus each
+    later rung's times the share of picks the rung before it misses. The
+    cells that no rung holds go to the full sort from any start.
+    """
+    spans = np.array(_SPANS)
+    cost = _RUNG_COST + spans
+    # the share of picks that each rung's bracket misses, passed to the next rung
+    missed = (distances[:, None] > spans).mean(axis=0)
+    expected = [cost[k] + (cost[k + 1 :] * missed[k:-1]).sum() for k in range(len(spans))]
+    return int(np.argmin(expected))
+
+
 class _CellSolver:
     """Closed-form inner solve for every (c_p, alpha) cell of one system.
 
@@ -290,6 +334,21 @@ class _CellSolver:
     margin bounds the error of any summation order, so outside it the
     bracket's sums and the full sort's cross half at the same ratio:
     beta equals the full sort's on every input.
+
+    Where the ladder starts is measured per solver. Its first call
+    evaluates at least _CALIBRATION_CELLS cells, and at least a hundredth
+    of the call, spread evenly over it, before the others, and records
+    how many sample ranks each pick lies from the sample's middle. That
+    distance does not depend on the rung that decided the pick, so these
+    cells start at +-12, which holds most picks of either kind of system,
+    and measuring costs nothing over a fixed +-12 start. Every later cell
+    starts at the rung that _start_rung finds cheapest for the measured
+    distances. On prefix-summed systems the picks sit a rank or two from
+    the middle and the ladder starts at +-4; on raw ones they sit 5 to 25
+    ranks away and it starts at +-12 or wider, where a +-4 bracket would
+    miss most picks and add a rung. The start rung changes which rung
+    decides a cell, never its beta, and the same cells are measured at
+    any thread count, so no thread count changes the start rung either.
 
     Cells are evaluated in batches of about _BATCH_ELEMENTS cell-rows, so
     each float64 working array (512 KiB) fits in a core's L2 cache. Up to
@@ -321,6 +380,10 @@ class _CellSolver:
         self.n_rows, self.n_kept = len(self.a3), len(self.weights)
         self.batch = max(1, _BATCH_ELEMENTS // self.n_rows)
         self.buffers = {}  # worker slot -> its working arrays
+        # the rung of _SPANS the ladder starts at: the second, +-12, until the
+        # picks of the first cells are measured (__call__)
+        self.start = 1
+        self.distances = np.empty(0, dtype=np.intp)
         if self.n_kept:
             cumulative = np.cumsum(self.weights)
             quantiles = (np.arange(_SAMPLE_ROWS) + 0.5) / _SAMPLE_ROWS * cumulative[-1]
@@ -347,9 +410,21 @@ class _CellSolver:
         prune_margin; a row of NaN is a certificate that was dropped.
         """
         n_cells = len(c_p)
+        calibration = 0
+        if self.n_kept and len(self.distances) < _CALIBRATION_CELLS:
+            # the start rung is measured first, on whole batches of cells spread
+            # evenly over this call, at least a hundredth of it: neighbouring
+            # cells share their ratios' order, so a run of them is one sample
+            wanted = max(_CALIBRATION_CELLS - len(self.distances), n_cells // 100)
+            calibration = min(-(-wanted // self.batch) * self.batch, n_cells)
+            spread = np.arange(calibration) * (n_cells - 1) // max(calibration - 1, 1)
+            order = np.r_[spread, np.delete(np.arange(n_cells), spread)]
+            c_p, alpha = c_p[order], alpha[order]
         beta = np.zeros(n_cells)
         numerator = np.empty(n_cells)
         planes = np.empty((n_cells, 3)) if certify else None
+        # sample ranks from each measured cell's pick to the sample's middle
+        distances = np.empty(calibration, dtype=np.intp)
 
         def run(slot: int, starts: range) -> None:
             # Arrays freed after every batch went back to the OS, and faulting
@@ -375,7 +450,8 @@ class _CellSolver:
                     if self.n_kept:
                         ratios = wide[1, : cells * self.n_kept].reshape(cells, self.n_kept)
                         np.divide(residual[:, self.kept], self.a3_kept, out=ratios)
-                        beta[lo:hi] = np.maximum(self._bracketed_median(ratios, narrow, flags), 0.0)
+                        measured = distances[lo:hi] if lo < calibration else None
+                        beta[lo:hi] = np.maximum(self._bracketed_median(ratios, narrow, flags, measured), 0.0)
                     residual -= np.multiply(beta[lo:hi, None], self.a3, out=scratch)
                     if certify:
                         np.sign(residual, out=scratch)
@@ -385,33 +461,58 @@ class _CellSolver:
             finally:
                 np.setbufsize(previous)
 
+        def dispatch(pool: Optional[ThreadPoolExecutor], batches: range) -> None:
+            if pool is None:
+                run(0, batches)
+            else:
+                slots = min(workers, len(batches))
+                list(pool.map(run, range(slots), [batches[k::slots] for k in range(slots)]))
+
         batches = range(0, n_cells, self.batch)
+        first = -(-calibration // self.batch)
         workers = min(self.threads, len(batches))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                list(pool.map(run, range(workers), [batches[k::workers] for k in range(workers)]))
-        else:
-            run(0, batches)
+        # one pool for both phases: the threads of a second pool left the
+        # process holding more memory
+        with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+            if calibration:
+                # the same cells are measured at any thread count, and so the
+                # rung that the later batches start at is the same too
+                dispatch(pool, batches[:first])
+                self.distances = np.r_[self.distances, distances]
+                if len(self.distances) >= _CALIBRATION_CELLS:
+                    self.start = _start_rung(self.distances)
+            dispatch(pool, batches[first:])
+        if calibration:
+            inverse = np.argsort(order)
+            beta, numerator = beta[inverse], numerator[inverse]
+            planes = None if planes is None else planes[inverse]
         return beta, numerator, planes
 
-    def _bracketed_median(self, ratios: np.ndarray, narrow: np.ndarray, flags: np.ndarray) -> np.ndarray:
-        # the full sort's pick for every cell: each rung of _SPANS decides the
-        # cells its bracket can and passes the rest to the next, wider one; the
-        # full sort takes the cells that no rung decides. Sorting the 512
-        # sample values once is faster here than partitioning them at each rung
+    def _bracketed_median(
+        self, ratios: np.ndarray, narrow: np.ndarray, flags: np.ndarray, measured: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        # the full sort's pick for every cell: each rung of _SPANS from the
+        # start rung on decides the cells its bracket can and passes the rest
+        # to the next, wider one; the full sort takes the cells that no rung
+        # decides. Sorting the 512 sample values once is faster here than
+        # partitioning them at each rung. `measured`, when given, takes each
+        # pick's distance from the sample's middle
         sample = np.sort(ratios[:, self.sample], axis=1)
         median = np.empty(len(ratios))
         todo, rows = np.arange(len(ratios)), ratios
-        for span in _SPANS:
+        for span in _SPANS[self.start :]:
             ranks = [_SAMPLE_ROWS // 2 - span, _SAMPLE_ROWS // 2 + span]
             low, high = sample[todo[:, None], ranks].T[:, :, None]
             value, usable = self._bracket_pick(rows, low, high, narrow, flags)
             median[todo[usable]] = value[usable]
             todo = todo[~usable]
             if not len(todo):
-                return median
+                break
             rows = ratios[todo]
-        median[todo] = _sorted_median(rows, self.weights, self.half_weight)
+        else:
+            median[todo] = _sorted_median(rows, self.weights, self.half_weight)
+        if measured is not None:
+            measured[:] = _rank_distances(sample, median)
         return median
 
     def _bracket_pick(

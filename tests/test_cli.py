@@ -316,6 +316,20 @@ class TestExitCodes:
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, grid", [
+        ("c_p_max", {"c_p_max": 1e-320, "cells": 4}),
+        ("c_p_max", {"c_p_max": 4e-323, "cells": 200, "spacing": "linear"}),
+        ("alpha_max", {"alpha_max": 4e-323, "cells": 200, "spacing": "linear"}),
+    ], ids=["log", "linear-c_p", "linear-alpha"])
+    def test_grid_whose_default_minimum_underflows(self, key, grid, day_run, tmp_path, capsys):
+        # once a traceback: geomspace refused the 0 on the log axis, and the
+        # linear axis's 0 came back as an infeasible fit
+        config = tmp_path / "tiny.json"
+        config.write_text(json.dumps({"grid": grid}))
+        assert main(["fit", "--config", str(config), "--dataset", day_run.dataset,
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert f"grid.{key}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("scenario, code", [
         # a stage too small to count in a float, once an OverflowError traceback
         ({"duration_steps": 2000, "hvac": {"refrigerator_max": 1e-300, "refrigerator_stages": 1000000000}}, EXIT_OK),

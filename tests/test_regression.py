@@ -1,11 +1,13 @@
 """System assembly, the relative L1 objective, the closed-form inner
 solve, the grid search and its pruned refinement passes."""
 
+import threading
 import tracemalloc
 import warnings
 from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
+from types import SimpleNamespace
 from datetime import datetime, timezone
 from unittest import mock
 
@@ -283,9 +285,14 @@ class TestBracketedMedian:
     must still equal the full sort's, which the plain-Python reference is."""
 
     @staticmethod
-    def _check(rows, targets, c_p, alpha):
+    def _check(rows, targets, c_p, alpha, start=None, threads=1):
+        """Every cell's beta against the reference; a start rung, when
+        given, replaces the one the solver would measure."""
         rows, targets = np.asarray(rows, dtype=float), np.asarray(targets, dtype=float)
-        beta, _, _ = regression._CellSolver(rows, targets, 1)(np.asarray(c_p, float), np.asarray(alpha, float))
+        solver = regression._CellSolver(rows, targets, threads)
+        if start is not None and solver.n_kept:
+            solver.start = start
+        beta, _, _ = solver(np.asarray(c_p, float), np.asarray(alpha, float))
         for cell, (cp, al) in enumerate(zip(c_p, alpha)):
             assert beta[cell] == _weighted_median_beta(cp, al, rows, targets), cell
 
@@ -384,9 +391,10 @@ class TestBracketedMedian:
     def test_wide_rung_decides_outside_the_narrow_brackets(self, fallbacks):
         # as above, the sample holds the 512 odd rows, here with ratios 0..511,
         # so a sample rank is its ratio. 216 even rows lie below all of them
-        # and 297 above, which puts the median, the 513th ratio, at 296: past
-        # the sample's ranks 256 +- 24, and inside 256 +- 64. The half, 512.5,
-        # is 0.5 away from every running sum.
+        # and 297 above, which puts the median, the 513th ratio, at 296, 40
+        # ranks above the sample's middle: past 256 +- 4, +- 12 and +- 24, and
+        # inside 256 +- 64, from whichever rung the ladder starts. The half,
+        # 512.5, is 0.5 away from every running sum.
         n_rows = 1025
         ratios = np.empty(n_rows)
         ratios[1::2] = np.arange(512)
@@ -396,7 +404,9 @@ class TestBracketedMedian:
         assert (solver.sample == np.arange(1, n_rows, 2)).all()
         beta, _, _ = solver(np.zeros(2), np.zeros(2))
         assert (beta == 296.0).all()
-        self._check(rows, -ratios, [0.0, 0.0], [0.0, 0.0])
+        assert solver.distances.tolist() == [40, 40]
+        for start in (None, *range(len(regression._SPANS))):
+            self._check(rows, -ratios, [0.0, 0.0], [0.0, 0.0], start)
         assert sum(fallbacks) == 0
 
     def test_empty_rung_passes_every_cell_on(self, fallbacks, monkeypatch):
@@ -417,14 +427,20 @@ class TestBracketedMedian:
         a3_low=st.sampled_from([-5.0, 0.0]),
         zero_a3=st.sampled_from([0.0, 0.3]),
         copies=st.integers(1, 3),
-        pushed=st.sampled_from([0.0, 0.05, 0.1, 0.3]),
+        pushed=st.sampled_from([0.0, 0.02, 0.05, 0.1, 0.3]),
+        start=st.sampled_from([None, 0, 1, 2, 3]),
+        threads=st.sampled_from([1, 2]),
     )
-    def test_every_rung_matches_the_reference(self, seed, n_rows, quantized, a3_low, zero_a3, copies, pushed):
+    def test_every_rung_matches_the_reference(
+        self, seed, n_rows, quantized, a3_low, zero_a3, copies, pushed, start, threads
+    ):
         # Pushing a share of the sampled rows far above every other ratio moves
         # the sample's middle below the median, by about pushed * 256 ranks:
-        # past the narrow rung at 0.05, past 256 +- 24 at 0.1 and past every
-        # rung at 0.3. Quantized weights and copied rows give exact splits,
-        # which the rounding margin sends to the full sort.
+        # past 256 +- 4 at 0.02, past +- 12 at 0.05, past +- 24 at 0.1 and
+        # past every rung at 0.3. Quantized weights and copied rows give exact
+        # splits, which the rounding margin sends to the full sort. Each start
+        # rung, or the measured one (None), must give the reference's beta;
+        # two cells a batch spread the eight cells over both threads.
         rng = np.random.default_rng(seed)
         a3 = rng.uniform(a3_low, 5.0, n_rows)
         if quantized:
@@ -443,7 +459,8 @@ class TestBracketedMedian:
             push = rng.choice(sampled, int(pushed * len(sampled)), replace=False)
             # b - K a3 raises the ratio (c_p a1 + alpha a2 - b) / a3 by K at every cell
             targets[push] -= 1e6 * rows[push, 2]
-        self._check(rows, targets, *self._cells(rng, 8))
+        with mock.patch.object(regression, "_BATCH_ELEMENTS", 2 * n_rows):
+            self._check(rows, targets, *self._cells(rng, 8), start, threads)
 
     def test_running_float_weight_decides_an_even_split(self):
         # weights 0.1, 0.7, 0.7, 0.1 split evenly in exact arithmetic after the
@@ -735,6 +752,92 @@ class TestUfuncBuffer:
         assert outcome() == reference
 
 
+class TestStartRung:
+    """Each solver measures which rung its ladder starts at; no start rung
+    and no thread count may change a cell."""
+
+    @pytest.fixture
+    def ladders(self, monkeypatch):
+        """(measured, start rung, rungs tried) of every batch, and a way to force the start."""
+        seen, batch = [], threading.local()
+        bracketed, pick = regression._CellSolver._bracketed_median, regression._CellSolver._bracket_pick
+
+        def spy_median(solver, ratios, narrow, flags, measured=None):
+            batch.entry = [measured is not None, solver.start, 0]
+            seen.append(batch.entry)
+            return bracketed(solver, ratios, narrow, flags, measured)
+
+        def spy_pick(solver, *args):
+            batch.entry[2] += 1
+            return pick(solver, *args)
+
+        monkeypatch.setattr(regression._CellSolver, "_bracketed_median", spy_median)
+        monkeypatch.setattr(regression._CellSolver, "_bracket_pick", spy_pick)
+        return SimpleNamespace(
+            seen=seen, force=lambda start: monkeypatch.setattr(regression, "_start_rung", lambda distances: start)
+        )
+
+    @pytest.mark.parametrize("distances, start", [
+        ([0] * 20, 0),
+        ([4] * 19 + [30], 0),
+        # a +-4 bracket that holds 80% of the picks adds a rung to the rest
+        ([3] * 16 + [10] * 4, 1),
+        ([12] * 20, 1),
+        ([2] * 5 + [20] * 15, 2),
+        ([30] * 10 + [60] * 10, 3),
+        ([500] * 20, 3),
+    ])
+    def test_the_cheapest_start(self, distances, start):
+        assert regression._start_rung(np.array(distances)) == start
+
+    def test_prefix_sums_start_at_the_narrowest_rung(self, criterion_3_systems):
+        # the picks of prefix-summed rows sit a rank or two from the sample's
+        # middle; raw rows bracket too loosely for +-4 to pay
+        grid = TestPrunedRefinement.CRITERION_3_GRID
+        c_p, alpha, _ = regression._pass_cells(grid.c_p_axis(), grid.alpha_axis(), (1.0, 1.0))
+        for system in criterion_3_systems:
+            raw = regression._CellSolver(system.rows, system.targets, 1)
+            integrated = regression._CellSolver(system.c_rows, system.d_targets, 1)
+            for solver in (raw, integrated):
+                solver(c_p, alpha)
+                # whole batches, at least a hundredth of the pass
+                assert len(solver.distances) >= len(c_p) // 100
+            assert integrated.start == 0 and raw.start >= 1
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    def test_the_measure_does_not_follow_the_thread_count(self, criterion_3_systems, threads):
+        system, grid = criterion_3_systems[5], GridSpec(cells=40)
+        c_p, alpha, _ = regression._pass_cells(grid.c_p_axis(), grid.alpha_axis(), (1.0, 1.0))
+        one, many = (regression._CellSolver(system.rows, system.targets, count) for count in (1, threads))
+        outcomes = [solver(c_p, alpha) for solver in (one, many)]
+        assert many.start == one.start
+        assert many.distances.tobytes() == one.distances.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(*[outcome[:2] for outcome in outcomes]))
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    @pytest.mark.parametrize("use_integrated", [False, True], ids=["raw", "integrated"])
+    def test_every_start_rung_fits_alike(self, criterion_3_systems, use_integrated, threads, ladders):
+        grid = GridSpec(cells=20, refinement_passes=1)
+        for system in criterion_3_systems:
+            rows, targets = (system.c_rows, system.d_targets) if use_integrated else (system.rows, system.targets)
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                measured = grid_fit(system, grid=grid, use_integrated=use_integrated)
+                for c_p, alpha, beta, _ in measured.surface[::37]:
+                    assert beta == max(_weighted_median_beta(c_p, alpha, rows, targets), 0.0)
+                for start in range(len(regression._SPANS)):
+                    ladders.force(start)
+                    ladders.seen.clear()
+                    fit = grid_fit(system, grid=grid, use_integrated=use_integrated, threads=threads)
+                    assert fit == measured
+                    assert fit.surface.tobytes() == measured.surface.tobytes()
+                    # the measured batches start at +-12, every later one at the forced rung
+                    calibrating = {first for was_measured, first, _ in ladders.seen if was_measured}
+                    later = [(first, tried) for was_measured, first, tried in ladders.seen if not was_measured]
+                    assert calibrating == {1} and {first for first, _ in later} == {start}
+                    assert max(tried for _, tried in later) <= len(regression._SPANS) - start
+
+
 class TestCertificates:
     """Each plane must lie below the computed numerator of every cell, up
     to the pruning margin, and meet its own cell's."""
@@ -790,6 +893,18 @@ class TestGridSpec:
         # NaN gave an all-NaN axis and a misleading NoFeasiblePoint, inf an axis ending [inf, nan]
         with pytest.raises(ValueError, match=f"{key} must be finite and positive"):
             GridSpec(**{key: value})
+
+    @pytest.mark.parametrize("key", ["c_p_max", "alpha_max"])
+    @pytest.mark.parametrize("spacing, value", [("log", 1e-320), ("linear", 4e-323)])
+    def test_rejects_a_maximum_whose_default_minimum_underflows(self, key, spacing, value):
+        # max * 1e-4 and max / 200 round to 0, which geomspace refuses and
+        # linspace puts on the axis as an infeasible cell
+        with pytest.raises(ValueError, match=f"{key} is too small"):
+            GridSpec(**{key: value}, cells=200, spacing=spacing)
+        # a stated minimum, or a single cell, leaves no default to underflow
+        minimum = key.replace("_max", "_min")
+        assert (GridSpec(**{key: value, minimum: value}, cells=200, spacing=spacing).c_p_axis() > 0).all()
+        assert GridSpec(**{key: value}, cells=1, spacing=spacing).alpha_axis() > 0
 
     def test_linear_axis_spans_min_to_max(self):
         grid = GridSpec(c_p_max=200.0, c_p_min=10.0, cells=20, spacing="linear")
