@@ -28,8 +28,9 @@ brackets around the half-weight split (the sample select of Floyd and
 Rivest): a narrow bracket first, wider ones for the cells it cannot
 decide, and the full sort for the cells that no bracket decides or where
 rounding could tell the two apart, so every beta is the full sort's. How
-narrow the first bracket is, is measured on each system's first cells:
-prefix-summed rows bracket their median far more tightly than raw ones.
+narrow the first bracket is, is measured on each call's own cells:
+prefix-summed rows bracket their median far more tightly than raw ones,
+except near the best cells, where refinement passes search.
 
 A batch's element-wise steps broadcast one row of the system against
 every cell. numpy runs such a step through its ufunc buffer, 8192
@@ -84,12 +85,14 @@ _BATCH_ELEMENTS = 1 << 16
 _BUFSIZE = 512
 # the bracketed weighted median: sample rows, the ladder of bracket spans
 # in sample ranks either side of the sample's middle, tried narrowest first
-# from a start rung that each solver measures on its first cells, the
-# fewest cells it measures, a rung's cost per cell beside its span (see
-# _start_rung), and the rounding margin in units of n_kept * eps * half
+# from a start rung that each solver call measures on its own cells, the
+# rung those cells start at (+-12), the fewest cells a call measures, a
+# rung's cost per cell beside its span (see _start_rung), and the rounding
+# margin in units of n_kept * eps * half
 _SAMPLE_ROWS = 512
 _SPANS = (4, 12, 24, 64)
-_CALIBRATION_CELLS = 16
+_MEASURED_START = 1
+_CALIBRATION_CELLS = 64
 _RUNG_COST = 40
 _MARGIN_ULPS = 8
 # a refinement pass first evaluates every 16th cell per axis, and the last
@@ -333,27 +336,34 @@ class _CellSolver:
     bracket, and a cell that no bracket decides is sorted in full. The
     margin bounds the error of any summation order, so outside it the
     bracket's sums and the full sort's cross half at the same ratio:
-    beta equals the full sort's on every input.
+    beta equals the full sort's on every input. The sample is sorted in
+    float32, which only moves the bracket's ends: the decision above
+    holds for any ends.
 
-    Where the ladder starts is measured per solver. Its first call
-    evaluates at least _CALIBRATION_CELLS cells, and at least a hundredth
-    of the call, spread evenly over it, before the others, and records
-    how many sample ranks each pick lies from the sample's middle. That
-    distance does not depend on the rung that decided the pick, so these
-    cells start at +-12, which holds most picks of either kind of system,
-    and measuring costs nothing over a fixed +-12 start. Every later cell
-    starts at the rung that _start_rung finds cheapest for the measured
-    distances. On prefix-summed systems the picks sit a rank or two from
-    the middle and the ladder starts at +-4; on raw ones they sit 5 to 25
-    ranks away and it starts at +-12 or wider, where a +-4 bracket would
-    miss most picks and add a rung. The start rung changes which rung
-    decides a cell, never its beta, and the same cells are measured at
-    any thread count, so no thread count changes the start rung either.
+    Where the ladder starts is measured by each call on its own cells.
+    It first evaluates at least _CALIBRATION_CELLS cells, and at least a
+    hundredth of the call, spread evenly over it, from +-12, which holds
+    most picks of either kind of system, and records how many sample
+    ranks each pick lies from the sample's middle, a distance that does
+    not depend on the rung that decided the pick. Every later cell of the
+    call starts at the rung that _start_rung finds cheapest for those
+    distances. On an initial pass the picks of prefix-summed systems sit
+    a rank or two from the middle and the ladder starts at +-4; raw ones
+    put them 5 to 25 ranks away and it starts at +-12 or wider. Refinement
+    cells lie near the winner, where prefix-summed picks too sit 5 to 12
+    ranks off, so no start carries from one call to the next; a
+    refinement round is short enough to be measured whole. The start
+    rung changes which rung decides a cell, never its beta, and the same
+    cells are measured at any thread count, so the start is the same too.
 
     Cells are evaluated in batches of about _BATCH_ELEMENTS cell-rows, so
     each float64 working array (512 KiB) fits in a core's L2 cache. Up to
     `threads` workers, one a batch at most, each take every workers-th
-    batch and reuse one set of working arrays, allocated on first use.
+    batch and reuse one set of working arrays, allocated on first use:
+    the residual and ratio rows of a batch and two flag masks. The rows
+    a wider rung still has to decide move to the front of the ratios in
+    place, and a certificate's row distances overwrite the residual
+    sizes once the numerator is summed.
     Each worker runs its batches with numpy's ufunc buffer at _BUFSIZE
     elements, so that a row-broadcast step loops along each row rather
     than copying rows into the buffer (see the module docstring), and
@@ -380,10 +390,6 @@ class _CellSolver:
         self.n_rows, self.n_kept = len(self.a3), len(self.weights)
         self.batch = max(1, _BATCH_ELEMENTS // self.n_rows)
         self.buffers = {}  # worker slot -> its working arrays
-        # the rung of _SPANS the ladder starts at: the second, +-12, until the
-        # picks of the first cells are measured (__call__)
-        self.start = 1
-        self.distances = np.empty(0, dtype=np.intp)
         if self.n_kept:
             cumulative = np.cumsum(self.weights)
             quantiles = (np.arange(_SAMPLE_ROWS) + 0.5) / _SAMPLE_ROWS * cumulative[-1]
@@ -411,11 +417,11 @@ class _CellSolver:
         """
         n_cells = len(c_p)
         calibration = 0
-        if self.n_kept and len(self.distances) < _CALIBRATION_CELLS:
+        if self.n_kept:
             # the start rung is measured first, on whole batches of cells spread
             # evenly over this call, at least a hundredth of it: neighbouring
             # cells share their ratios' order, so a run of them is one sample
-            wanted = max(_CALIBRATION_CELLS - len(self.distances), n_cells // 100)
+            wanted = max(_CALIBRATION_CELLS, n_cells // 100)
             calibration = min(-(-wanted // self.batch) * self.batch, n_cells)
             spread = np.arange(calibration) * (n_cells - 1) // max(calibration - 1, 1)
             order = np.r_[spread, np.delete(np.arange(n_cells), spread)]
@@ -426,17 +432,16 @@ class _CellSolver:
         # sample ranks from each measured cell's pick to the sample's middle
         distances = np.empty(calibration, dtype=np.intp)
 
-        def run(slot: int, starts: range) -> None:
+        def run(slot: int, starts: range, start: int) -> None:
             # Arrays freed after every batch went back to the OS, and faulting
             # them in again took a third of a pass, so each worker slot
             # allocates once per solver.
             if slot not in self.buffers:
                 self.buffers[slot] = (
                     np.empty((2, self.batch * self.n_rows)),
-                    np.empty((2, self.batch * self.n_kept)),
                     np.empty((2, self.batch * self.n_kept), dtype=bool),
                 )
-            wide, narrow, flags = self.buffers[slot]
+            wide, flags = self.buffers[slot]
             # the setting is the calling thread's (a context variable in numpy 2)
             previous = np.setbufsize(_BUFSIZE)
             try:
@@ -451,22 +456,22 @@ class _CellSolver:
                         ratios = wide[1, : cells * self.n_kept].reshape(cells, self.n_kept)
                         np.divide(residual[:, self.kept], self.a3_kept, out=ratios)
                         measured = distances[lo:hi] if lo < calibration else None
-                        beta[lo:hi] = np.maximum(self._bracketed_median(ratios, narrow, flags, measured), 0.0)
+                        beta[lo:hi] = np.maximum(self._bracketed_median(ratios, flags, start, measured), 0.0)
                     residual -= np.multiply(beta[lo:hi, None], self.a3, out=scratch)
                     if certify:
                         np.sign(residual, out=scratch)
                     numerator[lo:hi] = np.abs(residual, out=residual).sum(axis=1)
                     if certify:
-                        planes[lo:hi] = self._certificates(beta[lo:hi], scratch, residual, narrow[0])
+                        planes[lo:hi] = self._certificates(beta[lo:hi], scratch, residual)
             finally:
                 np.setbufsize(previous)
 
-        def dispatch(pool: Optional[ThreadPoolExecutor], batches: range) -> None:
+        def dispatch(pool: Optional[ThreadPoolExecutor], batches: range, start: int) -> None:
             if pool is None:
-                run(0, batches)
+                run(0, batches, start)
             else:
                 slots = min(workers, len(batches))
-                list(pool.map(run, range(slots), [batches[k::slots] for k in range(slots)]))
+                list(pool.map(run, range(slots), [batches[k::slots] for k in range(slots)], [start] * slots))
 
         batches = range(0, n_cells, self.batch)
         first = -(-calibration // self.batch)
@@ -474,14 +479,13 @@ class _CellSolver:
         # one pool for both phases: the threads of a second pool left the
         # process holding more memory
         with ThreadPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+            start = _MEASURED_START
             if calibration:
                 # the same cells are measured at any thread count, and so the
                 # rung that the later batches start at is the same too
-                dispatch(pool, batches[:first])
-                self.distances = np.r_[self.distances, distances]
-                if len(self.distances) >= _CALIBRATION_CELLS:
-                    self.start = _start_rung(self.distances)
-            dispatch(pool, batches[first:])
+                dispatch(pool, batches[:first], start)
+                start = _start_rung(distances)
+            dispatch(pool, batches[first:], start)
         if calibration:
             inverse = np.argsort(order)
             beta, numerator = beta[inverse], numerator[inverse]
@@ -489,34 +493,43 @@ class _CellSolver:
         return beta, numerator, planes
 
     def _bracketed_median(
-        self, ratios: np.ndarray, narrow: np.ndarray, flags: np.ndarray, measured: Optional[np.ndarray] = None
+        self, ratios: np.ndarray, flags: np.ndarray, start: int, measured: Optional[np.ndarray] = None
     ) -> np.ndarray:
         # the full sort's pick for every cell: each rung of _SPANS from the
         # start rung on decides the cells its bracket can and passes the rest
         # to the next, wider one; the full sort takes the cells that no rung
         # decides. Sorting the 512 sample values once is faster here than
-        # partitioning them at each rung. `measured`, when given, takes each
-        # pick's distance from the sample's middle
-        sample = np.sort(ratios[:, self.sample], axis=1)
+        # partitioning them at each rung, and sorting them in float32 faster
+        # still (a ratio past float32's range casts to an infinite end, which
+        # only widens the bracket). `measured`, when given, takes each pick's
+        # distance from the sample's middle. ratios is overwritten
+        with np.errstate(over="ignore"):
+            sample = ratios[:, self.sample].astype(np.float32)
+        sample.sort(axis=1)
         median = np.empty(len(ratios))
-        todo, rows = np.arange(len(ratios)), ratios
-        for span in _SPANS[self.start :]:
+        todo = np.arange(len(ratios))
+        for span in _SPANS[start:]:
             ranks = [_SAMPLE_ROWS // 2 - span, _SAMPLE_ROWS // 2 + span]
-            low, high = sample[todo[:, None], ranks].T[:, :, None]
-            value, usable = self._bracket_pick(rows, low, high, narrow, flags)
+            low, high = sample[todo[:, None], ranks].T.astype(float)[:, :, None]
+            value, usable = self._bracket_pick(ratios[: len(todo)], low, high, flags)
             median[todo[usable]] = value[usable]
-            todo = todo[~usable]
+            left = np.flatnonzero(~usable)
+            todo = todo[left]
             if not len(todo):
                 break
-            rows = ratios[todo]
+            # the undecided rows move to the front, row left[i] to row i; in
+            # ascending order no row is overwritten before it has moved
+            for i, row in enumerate(left.tolist()):
+                if row != i:
+                    ratios[i] = ratios[row]
         else:
-            median[todo] = _sorted_median(rows, self.weights, self.half_weight)
+            median[todo] = _sorted_median(ratios[: len(todo)], self.weights, self.half_weight)
         if measured is not None:
             measured[:] = _rank_distances(sample, median)
         return median
 
     def _bracket_pick(
-        self, ratios: np.ndarray, low: np.ndarray, high: np.ndarray, narrow: np.ndarray, flags: np.ndarray
+        self, ratios: np.ndarray, low: np.ndarray, high: np.ndarray, flags: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """Each cell's pick from the rows with low <= ratio <= high, and
         whether it is certainly the full sort's."""
@@ -539,9 +552,7 @@ class _CellSolver:
         starts = np.cumsum(counts) - counts
         # the rows inside each bracket, left-aligned and padded with +inf of no weight
         slot = row * width + np.arange(len(flat)) - starts[row]
-        middle, running = (buf[: cells * width] for buf in narrow)
-        middle.fill(np.inf)
-        running.fill(0.0)
+        middle, running = np.full(cells * width, np.inf), np.zeros(cells * width)
         middle[slot] = ratios.ravel()[flat]
         running[slot] = weights[column]
         order = np.argsort(middle.reshape(cells, width), axis=1)
@@ -558,10 +569,9 @@ class _CellSolver:
         usable = (at - half_weight > self.split_margin) & (half_weight - before > self.split_margin)
         return middle[order[cell, pick]], usable
 
-    def _certificates(self, beta: np.ndarray, signs: np.ndarray, sizes: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    def _certificates(self, beta: np.ndarray, signs: np.ndarray, sizes: np.ndarray) -> np.ndarray:
         """Planes (g1, g2, g3) of a batch from the signs and sizes of its
-        residuals e_i at each cell's beta; signs is changed in place, and
-        spare is a free buffer of a batch's kept rows.
+        residuals e_i at each cell's beta; both are overwritten.
 
         For s in [-1, 1]^n with sum s_i a3_i <= 0 and any beta >= 0,
         sum |r_i - beta a3_i| >= sum s_i r_i - beta sum s_i a3_i >= sum s_i r_i,
@@ -579,8 +589,9 @@ class _CellSolver:
         slack = self.slacks[3]
         moved = np.flatnonzero((beta > 0) | ~(sums[:, 3] <= -slack))
         if len(moved) and self.n_kept:
-            # |e_i| / |a3_i| is the distance of row i's ratio from beta
-            distance = spare[: len(sizes) * self.n_kept].reshape(len(sizes), self.n_kept)
+            # |e_i| / |a3_i| is the distance of row i's ratio from beta, written
+            # over the front of sizes (where every row has weight, over sizes itself)
+            distance = sizes.reshape(-1)[: len(sizes) * self.n_kept].reshape(len(sizes), self.n_kept)
             np.divide(sizes[:, self.kept], self.weights, out=distance)
             row = self.kept_rows[np.argmin(distance, axis=1)[moved]]
             step = (sums[moved, 3] + 4.0 * slack) / self.a3[row]

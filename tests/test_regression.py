@@ -4,7 +4,7 @@ solve, the grid search and its pruned refinement passes."""
 import threading
 import tracemalloc
 import warnings
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import replace
 from fractions import Fraction
 from types import SimpleNamespace
@@ -280,6 +280,20 @@ def _weighted_median_beta(c_p, alpha, rows, targets):
             return max(ratio, 0.0)
 
 
+@pytest.fixture
+def measures(monkeypatch):
+    """(distances, start rung) of each solver call's measured cells, in call order."""
+    seen = []
+    start_rung = regression._start_rung
+
+    def spy(distances):
+        seen.append((distances.copy(), start_rung(distances)))
+        return seen[-1][1]
+
+    monkeypatch.setattr(regression, "_start_rung", spy)
+    return seen
+
+
 class TestBracketedMedian:
     """The kernel sorts only the rows near the half-weight split; every beta
     must still equal the full sort's, which the plain-Python reference is."""
@@ -287,12 +301,14 @@ class TestBracketedMedian:
     @staticmethod
     def _check(rows, targets, c_p, alpha, start=None, threads=1):
         """Every cell's beta against the reference; a start rung, when
-        given, replaces the one the solver would measure."""
+        given, is where every cell starts, measured or not."""
         rows, targets = np.asarray(rows, dtype=float), np.asarray(targets, dtype=float)
         solver = regression._CellSolver(rows, targets, threads)
-        if start is not None and solver.n_kept:
-            solver.start = start
-        beta, _, _ = solver(np.asarray(c_p, float), np.asarray(alpha, float))
+        forced = nullcontext() if start is None else mock.patch.multiple(
+            regression, _MEASURED_START=start, _start_rung=lambda distances: start
+        )
+        with forced:
+            beta, _, _ = solver(np.asarray(c_p, float), np.asarray(alpha, float))
         for cell, (cp, al) in enumerate(zip(c_p, alpha)):
             assert beta[cell] == _weighted_median_beta(cp, al, rows, targets), cell
 
@@ -388,7 +404,7 @@ class TestBracketedMedian:
         self._check(rows, rng.normal(0.0, 100.0, 1000), c_p, alpha)
         assert sum(fallbacks) == 20
 
-    def test_wide_rung_decides_outside_the_narrow_brackets(self, fallbacks):
+    def test_wide_rung_decides_outside_the_narrow_brackets(self, fallbacks, measures):
         # as above, the sample holds the 512 odd rows, here with ratios 0..511,
         # so a sample rank is its ratio. 216 even rows lie below all of them
         # and 297 above, which puts the median, the 513th ratio, at 296, 40
@@ -404,7 +420,8 @@ class TestBracketedMedian:
         assert (solver.sample == np.arange(1, n_rows, 2)).all()
         beta, _, _ = solver(np.zeros(2), np.zeros(2))
         assert (beta == 296.0).all()
-        assert solver.distances.tolist() == [40, 40]
+        ((distances, _),) = measures
+        assert distances.tolist() == [40, 40]
         for start in (None, *range(len(regression._SPANS))):
             self._check(rows, -ratios, [0.0, 0.0], [0.0, 0.0], start)
         assert sum(fallbacks) == 0
@@ -537,6 +554,30 @@ class TestBatching:
         assert list(solver.buffers) == [0]
         reference = regression._CellSolver(system.rows, system.targets, 1)(*cells)
         assert (beta.tobytes(), numerator.tobytes()) == (reference[0].tobytes(), reference[1].tobytes())
+
+    @pytest.mark.parametrize("use_integrated", [False, True], ids=["raw", "integrated"])
+    def test_a_criterion_3_fit_keeps_to_its_working_arrays(self, criterion_3_systems, use_integrated):
+        # a 3-day system on criterion 3's grid, 21 cells a batch: the residual
+        # and ratio rows (0.98 MiB) and the flag masks are the only batch-sized
+        # arrays. A copy of a batch's undecided rows before a wider rung, and a
+        # scratch buffer for the certificates, each added about 0.5 MiB: traced
+        # peaks of 3.2-3.8 MiB on criterion 3's systems then, 2.2-2.4 MiB now
+        system = criterion_3_systems[0]
+
+        def fit():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                grid_fit(system, grid=TestPrunedRefinement.CRITERION_3_GRID, use_integrated=use_integrated)
+
+        # the first fit in a process also makes numpy's one-time allocations
+        fit()
+        tracemalloc.start()
+        try:
+            fit()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.75 * 2**20
 
 
 def _exhaustive_fit(system, grid, use_integrated=False, threads=1):
@@ -753,8 +794,8 @@ class TestUfuncBuffer:
 
 
 class TestStartRung:
-    """Each solver measures which rung its ladder starts at; no start rung
-    and no thread count may change a cell."""
+    """Each solver call measures which rung its ladder starts at; no start
+    rung and no thread count may change a cell."""
 
     @pytest.fixture
     def ladders(self, monkeypatch):
@@ -762,10 +803,10 @@ class TestStartRung:
         seen, batch = [], threading.local()
         bracketed, pick = regression._CellSolver._bracketed_median, regression._CellSolver._bracket_pick
 
-        def spy_median(solver, ratios, narrow, flags, measured=None):
-            batch.entry = [measured is not None, solver.start, 0]
+        def spy_median(solver, ratios, flags, start, measured=None):
+            batch.entry = [measured is not None, start, 0]
             seen.append(batch.entry)
-            return bracketed(solver, ratios, narrow, flags, measured)
+            return bracketed(solver, ratios, flags, start, measured)
 
         def spy_pick(solver, *args):
             batch.entry[2] += 1
@@ -790,28 +831,78 @@ class TestStartRung:
     def test_the_cheapest_start(self, distances, start):
         assert regression._start_rung(np.array(distances)) == start
 
-    def test_prefix_sums_start_at_the_narrowest_rung(self, criterion_3_systems):
-        # the picks of prefix-summed rows sit a rank or two from the sample's
-        # middle; raw rows bracket too loosely for +-4 to pay
-        grid = TestPrunedRefinement.CRITERION_3_GRID
+    def test_prefix_sums_start_at_the_narrowest_rung(self, criterion_3_systems, measures):
+        # on the initial pass the picks of prefix-summed rows sit a rank or two
+        # from the sample's middle; raw rows bracket too loosely for +-4 to pay
+        self._initial_starts(criterion_3_systems, TestPrunedRefinement.CRITERION_3_GRID, measures)
+
+    def test_a_small_pass_measures_the_floor(self, criterion_3_systems, measures):
+        # 400 cells: a hundredth of them, 4 cells, once put most raw systems at
+        # +-4; the floor of measured cells keeps them at +-12 or wider
+        self._initial_starts(criterion_3_systems, GridSpec(cells=20), measures)
+
+    @staticmethod
+    def _initial_starts(criterion_3_systems, grid, measures):
         c_p, alpha, _ = regression._pass_cells(grid.c_p_axis(), grid.alpha_axis(), (1.0, 1.0))
         for system in criterion_3_systems:
-            raw = regression._CellSolver(system.rows, system.targets, 1)
-            integrated = regression._CellSolver(system.c_rows, system.d_targets, 1)
-            for solver in (raw, integrated):
-                solver(c_p, alpha)
-                # whole batches, at least a hundredth of the pass
-                assert len(solver.distances) >= len(c_p) // 100
-            assert integrated.start == 0 and raw.start >= 1
+            measures.clear()
+            for rows, targets in ((system.rows, system.targets), (system.c_rows, system.d_targets)):
+                regression._CellSolver(rows, targets, 1)(c_p, alpha)
+            (raw, raw_start), (integrated, integrated_start) = measures
+            for distances in (raw, integrated):
+                # whole batches, at least a hundredth of the pass and the floor
+                assert len(distances) >= max(len(c_p) // 100, regression._CALIBRATION_CELLS)
+            assert integrated_start == 0 and raw_start >= 1
+
+    def test_each_call_starts_from_its_own_measure(self, criterion_3_systems, measures, ladders):
+        # a refinement pass's cells lie near the winner, where the picks sit
+        # further from the sample's middle than on the initial pass, so no start
+        # carries from one call to the next: a refinement call, shorter than the
+        # cells a call measures, is measured whole from +-12
+        grid = TestPrunedRefinement.CRITERION_3_GRID
+        for system in criterion_3_systems:
+            measures.clear()
+            ladders.seen.clear()
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                fit = grid_fit(system, grid=grid, use_integrated=True)
+            (initial, start), *refinement = measures
+            assert len(initial) < fit.cells_evaluated[0] and start == 0
+            assert sum(len(distances) for distances, _ in refinement) == sum(fit.cells_evaluated[1:])
+            # the initial pass's later batches start at its own rung; every other
+            # batch was measured, from +-12
+            assert {first for was_measured, first, _ in ladders.seen if not was_measured} == {0}
+            assert {first for was_measured, first, _ in ladders.seen if was_measured} == {1}
+
+    def test_a_later_call_is_measured_afresh(self, criterion_3_systems, measures, ladders):
+        # the same solver on the initial pass, then on the whole first refinement
+        # grid: each call's later batches start at the rung its own cells measure
+        grid = TestPrunedRefinement.CRITERION_3_GRID
+        moved = 0
+        for system in criterion_3_systems:
+            measures.clear()
+            solver = regression._CellSolver(system.c_rows, system.d_targets, 1)
+            c_p, alpha, _ = regression._pass_cells(grid.c_p_axis(), grid.alpha_axis(), (1.0, 1.0))
+            beta, numerator, _ = solver(c_p, alpha)
+            winner = np.argmin(numerator / (c_p * system.c_rows[:, 0].sum() + alpha * system.c_rows[:, 1].sum()))
+            axes = (np.linspace(*regression._neighborhood(axis, value), grid.cells)
+                    for axis, value in ((grid.c_p_axis(), c_p[winner]), (grid.alpha_axis(), alpha[winner])))
+            ladders.seen.clear()
+            solver(*regression._pass_cells(*axes, (1.0, 1.0))[:2])
+            (_, first_start), (_, start) = measures
+            assert {first for was_measured, first, _ in ladders.seen if not was_measured} == {start}
+            moved += start != first_start
+        # near the winner the picks of most systems sit past +-4
+        assert moved >= 6
 
     @pytest.mark.parametrize("threads", [2, 3])
-    def test_the_measure_does_not_follow_the_thread_count(self, criterion_3_systems, threads):
+    def test_the_measure_does_not_follow_the_thread_count(self, criterion_3_systems, threads, measures):
         system, grid = criterion_3_systems[5], GridSpec(cells=40)
         c_p, alpha, _ = regression._pass_cells(grid.c_p_axis(), grid.alpha_axis(), (1.0, 1.0))
-        one, many = (regression._CellSolver(system.rows, system.targets, count) for count in (1, threads))
-        outcomes = [solver(c_p, alpha) for solver in (one, many)]
-        assert many.start == one.start
-        assert many.distances.tobytes() == one.distances.tobytes()
+        outcomes = [regression._CellSolver(system.rows, system.targets, count)(c_p, alpha) for count in (1, threads)]
+        (one, one_start), (many, many_start) = measures
+        assert many_start == one_start
+        assert many.tobytes() == one.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(*[outcome[:2] for outcome in outcomes]))
 
     @pytest.mark.parametrize("threads", [1, 2])
