@@ -92,7 +92,7 @@ _BUFSIZE = 512
 _SAMPLE_ROWS = 512
 _SPANS = (4, 12, 24, 64)
 _MEASURED_START = 1
-_CALIBRATION_CELLS = 64
+_CALIBRATION_CELLS = 16
 _RUNG_COST = 40
 _MARGIN_ULPS = 8
 # a refinement pass first evaluates every 16th cell per axis, and the last
@@ -336,9 +336,7 @@ class _CellSolver:
     bracket, and a cell that no bracket decides is sorted in full. The
     margin bounds the error of any summation order, so outside it the
     bracket's sums and the full sort's cross half at the same ratio:
-    beta equals the full sort's on every input. The sample is sorted in
-    float32, which only moves the bracket's ends: the decision above
-    holds for any ends.
+    beta equals the full sort's on every input.
 
     Where the ladder starts is measured by each call on its own cells.
     It first evaluates at least _CALIBRATION_CELLS cells, and at least a
@@ -351,10 +349,11 @@ class _CellSolver:
     a rank or two from the middle and the ladder starts at +-4; raw ones
     put them 5 to 25 ranks away and it starts at +-12 or wider. Refinement
     cells lie near the winner, where prefix-summed picks too sit 5 to 12
-    ranks off, so no start carries from one call to the next; a
-    refinement round is short enough to be measured whole. The start
-    rung changes which rung decides a cell, never its beta, and the same
-    cells are measured at any thread count, so the start is the same too.
+    ranks off, so no start carries from one call to the next, and the
+    whole batches a short refinement round measures hold most of its
+    cells. The start rung changes which rung decides a cell, never its
+    beta, and the same cells are measured at any thread count, so the
+    start is the same too.
 
     Cells are evaluated in batches of about _BATCH_ELEMENTS cell-rows, so
     each float64 working array (512 KiB) fits in a core's L2 cache. Up to
@@ -499,18 +498,14 @@ class _CellSolver:
         # start rung on decides the cells its bracket can and passes the rest
         # to the next, wider one; the full sort takes the cells that no rung
         # decides. Sorting the 512 sample values once is faster here than
-        # partitioning them at each rung, and sorting them in float32 faster
-        # still (a ratio past float32's range casts to an infinite end, which
-        # only widens the bracket). `measured`, when given, takes each pick's
-        # distance from the sample's middle. ratios is overwritten
-        with np.errstate(over="ignore"):
-            sample = ratios[:, self.sample].astype(np.float32)
-        sample.sort(axis=1)
+        # partitioning them at each rung. `measured`, when given, takes each
+        # pick's distance from the sample's middle. ratios is overwritten
+        sample = np.sort(ratios[:, self.sample], axis=1)
         median = np.empty(len(ratios))
         todo = np.arange(len(ratios))
         for span in _SPANS[start:]:
             ranks = [_SAMPLE_ROWS // 2 - span, _SAMPLE_ROWS // 2 + span]
-            low, high = sample[todo[:, None], ranks].T.astype(float)[:, :, None]
+            low, high = sample[todo[:, None], ranks].T[:, :, None]
             value, usable = self._bracket_pick(ratios[: len(todo)], low, high, flags)
             median[todo[usable]] = value[usable]
             left = np.flatnonzero(~usable)

@@ -799,9 +799,15 @@ class TestStartRung:
 
     @pytest.fixture
     def ladders(self, monkeypatch):
-        """(measured, start rung, rungs tried) of every batch, and a way to force the start."""
-        seen, batch = [], threading.local()
-        bracketed, pick = regression._CellSolver._bracketed_median, regression._CellSolver._bracket_pick
+        """(measured, start rung, rungs tried) of every batch, (where its
+        batches begin, cells) of every solver call, and a way to force the start."""
+        seen, calls, batch = [], [], threading.local()
+        call, bracketed = regression._CellSolver.__call__, regression._CellSolver._bracketed_median
+        pick = regression._CellSolver._bracket_pick
+
+        def spy_call(solver, c_p, alpha, certify=False):
+            calls.append((len(seen), len(c_p)))
+            return call(solver, c_p, alpha, certify)
 
         def spy_median(solver, ratios, flags, start, measured=None):
             batch.entry = [measured is not None, start, 0]
@@ -812,10 +818,13 @@ class TestStartRung:
             batch.entry[2] += 1
             return pick(solver, *args)
 
+        monkeypatch.setattr(regression._CellSolver, "__call__", spy_call)
         monkeypatch.setattr(regression._CellSolver, "_bracketed_median", spy_median)
         monkeypatch.setattr(regression._CellSolver, "_bracket_pick", spy_pick)
         return SimpleNamespace(
-            seen=seen, force=lambda start: monkeypatch.setattr(regression, "_start_rung", lambda distances: start)
+            seen=seen,
+            calls=calls,
+            force=lambda start: monkeypatch.setattr(regression, "_start_rung", lambda distances: start),
         )
 
     @pytest.mark.parametrize("distances, start", [
@@ -834,15 +843,7 @@ class TestStartRung:
     def test_prefix_sums_start_at_the_narrowest_rung(self, criterion_3_systems, measures):
         # on the initial pass the picks of prefix-summed rows sit a rank or two
         # from the sample's middle; raw rows bracket too loosely for +-4 to pay
-        self._initial_starts(criterion_3_systems, TestPrunedRefinement.CRITERION_3_GRID, measures)
-
-    def test_a_small_pass_measures_the_floor(self, criterion_3_systems, measures):
-        # 400 cells: a hundredth of them, 4 cells, once put most raw systems at
-        # +-4; the floor of measured cells keeps them at +-12 or wider
-        self._initial_starts(criterion_3_systems, GridSpec(cells=20), measures)
-
-    @staticmethod
-    def _initial_starts(criterion_3_systems, grid, measures):
+        grid = TestPrunedRefinement.CRITERION_3_GRID
         c_p, alpha, _ = regression._pass_cells(grid.c_p_axis(), grid.alpha_axis(), (1.0, 1.0))
         for system in criterion_3_systems:
             measures.clear()
@@ -850,29 +851,37 @@ class TestStartRung:
                 regression._CellSolver(rows, targets, 1)(c_p, alpha)
             (raw, raw_start), (integrated, integrated_start) = measures
             for distances in (raw, integrated):
-                # whole batches, at least a hundredth of the pass and the floor
-                assert len(distances) >= max(len(c_p) // 100, regression._CALIBRATION_CELLS)
+                # whole batches, at least a hundredth of the pass
+                assert len(distances) >= len(c_p) // 100
             assert integrated_start == 0 and raw_start >= 1
 
     def test_each_call_starts_from_its_own_measure(self, criterion_3_systems, measures, ladders):
         # a refinement pass's cells lie near the winner, where the picks sit
         # further from the sample's middle than on the initial pass, so no start
-        # carries from one call to the next: a refinement call, shorter than the
-        # cells a call measures, is measured whole from +-12
+        # carries from one call to the next: each call measures its first whole
+        # batches from +-12, and its later batches start at its own rung
         grid = TestPrunedRefinement.CRITERION_3_GRID
+        refinement_starts = []
         for system in criterion_3_systems:
             measures.clear()
             ladders.seen.clear()
+            ladders.calls.clear()
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore", RuntimeWarning)
                 fit = grid_fit(system, grid=grid, use_integrated=True)
+            # one measure a call, and a refinement pass makes a call a round
+            assert len(measures) == len(ladders.calls) > len(fit.cells_evaluated)
             (initial, start), *refinement = measures
             assert len(initial) < fit.cells_evaluated[0] and start == 0
-            assert sum(len(distances) for distances, _ in refinement) == sum(fit.cells_evaluated[1:])
-            # the initial pass's later batches start at its own rung; every other
-            # batch was measured, from +-12
-            assert {first for was_measured, first, _ in ladders.seen if not was_measured} == {0}
-            assert {first for was_measured, first, _ in ladders.seen if was_measured} == {1}
+            ends = [begin for begin, _ in ladders.calls[1:]] + [len(ladders.seen)]
+            for (distances, start), (begin, cells), end in zip(measures, ladders.calls, ends):
+                assert len(distances) >= min(cells, regression._CALIBRATION_CELLS)
+                batches = ladders.seen[begin:end]
+                assert {first for was_measured, first, _ in batches if was_measured} == {1}
+                assert {first for was_measured, first, _ in batches if not was_measured} <= {start}
+            refinement_starts += [start for _, start in refinement]
+        # near the winner the picks of most refinement calls sit past +-4
+        assert sum(start >= 1 for start in refinement_starts) > len(refinement_starts) // 2
 
     def test_a_later_call_is_measured_afresh(self, criterion_3_systems, measures, ladders):
         # the same solver on the initial pass, then on the whole first refinement
